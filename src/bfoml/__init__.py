@@ -26,28 +26,26 @@ from .kripke import (Assignment, KripkeModel, ModelViolation, check,
                      validate)
 from .parser import parse
 from .results import DecisionResult, TableauNode, Verdict
-from .tableau_constant import (ConstantDomainPlan, build_domain,
-                               decide_constant_eb, expand_constant,
-                               extract_constant_model)
-from .tableau_increasing import decide_increasing, expand, extract_model
+from .tableau_constant import decide_constant_eb
+from .tableau_increasing import decide_increasing
 
 __version__ = "0.1.0"
 
 __all__ = [
     "And", "ArityMismatchError", "Assignment", "Atom", "BfomlError", "Bot",
-    "Bundle", "CaptureError", "ConstantDomainPlan", "DecisionResult",
-    "EnumerationResult", "FOModel", "FOSentence", "Formula", "Fragment",
-    "FragmentError", "Implies", "InternalSolverError", "InvalidModelError",
+    "Bundle", "CaptureError", "DecisionResult", "EnumerationResult",
+    "FOModel", "FOSentence", "Formula", "Fragment", "FragmentError",
+    "Implies", "InternalSolverError", "InvalidModelError",
     "IrrelevantAssignmentError", "KripkeModel", "Mod", "ModelFormatError",
     "ModelViolation", "Not", "Or", "ParseError", "Predicate", "Quant",
     "ResourceLimitError", "TableauNode", "Top", "UnboundVariableError",
     "UnknownWorldError", "Var", "Verdict", "ast_size", "atom",
-    "build_domain", "build_witness_model", "check", "classify", "cleanse",
+    "build_witness_model", "check", "classify", "cleanse",
     "decide_constant_eb", "decide_increasing", "enumerate_sat",
-    "exists_box_vars", "expand", "expand_constant", "extract_constant_model",
-    "extract_model", "fo_check", "fo_enumerate_sat", "fo_satisfying_models",
-    "format_fo", "format_formula", "free_vars", "identity_assignment",
-    "is_clean", "is_literal", "is_nnf", "modal_depth", "model_from_json_dict",
-    "model_loads", "parse", "parse_fo", "subformulas", "substitute", "to_nnf",
-    "translate_qf", "translate_sentence", "validate",
+    "exists_box_vars", "fo_check", "fo_enumerate_sat",
+    "fo_satisfying_models", "format_fo", "format_formula", "free_vars",
+    "identity_assignment", "is_clean", "is_literal", "is_nnf",
+    "modal_depth", "model_from_json_dict", "model_loads", "parse",
+    "parse_fo", "subformulas", "substitute", "to_nnf", "translate_qf",
+    "translate_sentence", "validate",
 ]

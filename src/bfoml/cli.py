@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .enumeration import enumerate_sat
-from .errors import BfomlError
+from .errors import BfomlError, InternalSolverError
 from .fo import (build_witness_model, fo_check, fo_enumerate_sat,
                  fo_model_loads, parse_fo, translate_sentence)
 from .formulas import (ast_size, classify, cleanse, exists_box_vars,
@@ -40,7 +40,6 @@ class RunReport:
     verdict: str
     elapsed_ms: float
     nodes_expanded: int
-    model_path: str | None
 
     def emit(self) -> None:
         print(f"nodes={self.nodes_expanded} elapsed-ms={self.elapsed_ms:.1f}",
@@ -63,9 +62,7 @@ def _cmd_sat(args) -> int:
         result = decide_constant_eb(formula, budget=args.budget, tracing=args.trace is not None)
     else:
         result = decide_increasing(formula, budget=args.budget, tracing=args.trace is not None)
-    model_path = None
     if args.model and result.model is not None:
-        model_path = args.model
         with open(args.model, "w", encoding="utf-8") as handle:
             handle.write(result.model.dumps() + "\n")
     if args.trace:
@@ -73,8 +70,9 @@ def _cmd_sat(args) -> int:
             handle.write("\n".join(result.trace or ()) + "\n")
     report = RunReport(result.verdict.value,
                        (time.perf_counter() - started) * 1000.0,
-                       result.nodes_expanded, model_path)
-    assert report.nodes_expanded >= 1
+                       result.nodes_expanded)
+    if report.nodes_expanded < 1:
+        raise InternalSolverError("a decision expanded no tableau node")
     print(report.verdict)
     report.emit()
     return EXIT_SAT if result.is_sat else EXIT_UNSAT
@@ -264,11 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_numbers(args) -> None:
+    """Fill in the default budget and reject numbers that make no sense."""
+    if hasattr(args, "budget") and args.budget is None:
+        try:
+            args.budget = default_budget()
+        except ValueError as exc:
+            raise BfomlError(str(exc)) from None
+        if args.budget < 1:
+            raise BfomlError(f"BFOML_BUDGET must be at least 1, got {args.budget}")
+    for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise BfomlError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if getattr(args, "count", 0) < 0:
+        raise BfomlError(f"--count must not be negative, got {args.count}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = default_budget()
     try:
+        _check_numbers(args)
         return args.handler(args)
     except BfomlError as exc:
         print(f"error: {exc}", file=sys.stderr)

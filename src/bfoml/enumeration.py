@@ -128,7 +128,8 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
             node = ("lit", True, (w, f.pred.name, tuple(sigma[v] for v in f.args)))
         elif isinstance(f, Not):
             body = f.body
-            assert isinstance(body, Atom), "grounding expects NNF input"
+            if not isinstance(body, Atom):
+                raise InternalSolverError("grounding expects NNF input")
             node = ("lit", False, (w, body.pred.name, tuple(sigma[v] for v in body.args)))
         elif isinstance(f, Top):
             node = True

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
-from .errors import ModelFormatError, ParseError
+from .errors import InternalSolverError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not,
                        Predicate, Quant, TOP, Var, var_key)
-from .parser import Token, parse_var_name, tokenize
+from .parser import _Parser, parse_var_name, tokenize
 
 P_PRED = Predicate("P", 1)
 Q_PRED = Predicate("Q", 1)
@@ -136,25 +136,8 @@ def format_fo(s: FOSentence) -> str:
     return prefix + fmt(s.matrix)
 
 
-class _FOParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect_sym(self, text: str) -> None:
-        tok = self.advance()
-        if tok.kind != "sym" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+class _FOParser(_Parser):
+    """The relational grammar on the formula parser's token cursor."""
 
     def sentence(self) -> FOSentence:
         prefix: list[tuple[Quant, Var]] = []
@@ -211,8 +194,7 @@ class _FOParser:
             if a.kind != "lident" or b.kind != "lident":
                 raise ParseError("R takes two variables", tok.line, tok.column)
             return FORel(parse_var_name(a.text), parse_var_name(b.text))
-        raise ParseError(f"expected a matrix formula, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.column)
+        raise self.fail("expected a matrix formula")
 
 
 def parse_fo(text: str) -> FOSentence:
@@ -292,7 +274,9 @@ def _translate_matrix(m: FOMatrix, fresh: Iterator[Var]) -> Formula:
                       And(Atom(P_PRED, (m.left,)), Atom(Q_PRED, (m.right,))))
     if isinstance(m, FONot):
         return Not(_translate_matrix(m.body, fresh))
-    assert isinstance(m, FOAnd)
+    if not isinstance(m, FOAnd):
+        raise InternalSolverError(
+            f"translation expects a desugared matrix, got {type(m).__name__}")
     return And(_translate_matrix(m.left, fresh),
                _translate_matrix(m.right, fresh))
 

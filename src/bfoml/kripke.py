@@ -19,8 +19,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import (InvalidModelError, IrrelevantAssignmentError,
-                     ModelFormatError, UnboundVariableError, UnknownWorldError)
+from .errors import (InternalSolverError, InvalidModelError,
+                     IrrelevantAssignmentError, ModelFormatError,
+                     UnboundVariableError, UnknownWorldError)
 from .formulas import (And, Atom, Bot, Bundle, Formula, Implies, Mod, Not, Or,
                        Quant, Top, Var, free_vars, var_key)
 
@@ -243,7 +244,9 @@ class _Evaluator:
         elements = sorted(self.model.local[world])
         succs = self.model.successors(world)
         # Domain monotonicity keeps any assignment relevant in successors.
-        assert all(all(e in self.model.local[v] for e in sigma.values()) for v in succs)
+        if not all(all(e in self.model.local[v] for e in sigma.values()) for v in succs):
+            raise InternalSolverError(
+                f"assignment left a local domain on an edge from {world}")
 
         def body_at(v: str, d: str) -> bool:
             child = dict(sigma)

@@ -1,33 +1,36 @@
 """Terminating tableau decision procedure over constant-domain models.
 
 Restricted to the exists-box fragment (only ``E x []`` and ``A x <>``
-bundles after NNF).  Constant domains rule out inventing witnesses on the
-fly, so the whole domain is fixed up front: the formula's free variables, a
-pool of modal-depth-many fresh variables for each exists-box binder, and one
-extra fresh variable.  Along every branch a used-variable set tracks which
-pool members have been consumed; an exists-box formula always takes the
-lowest-index unused member of its own pool, and the branching rule fans out
-over every domain variable for each universal-diamond formula.
+bundles after NNF).  This module is the constant-domain policy over the
+engine in ``tableau_common``.  Constant domains rule out inventing witnesses
+on the fly, so the whole domain is fixed up front: the formula's free
+variables, a pool of modal-depth-many fresh variables for each exists-box
+binder, and one extra fresh variable.  Along every branch a label tracks the
+used-variable set (trace letter ``C``); an exists-box formula always takes
+the lowest-index unused member of its own pool, and the branching rule fans
+out over every domain variable for each universal-diamond formula.
 
-An open completion yields a model whose every world carries the full fixed
-domain, re-checked with the model checker before SAT is reported.
+Every world records the whole fixed domain, so the model read off an open
+completion has constant domains.  The model checker re-checks it before SAT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import FragmentError, InternalSolverError, ResourceLimitError
-from .formulas import (Atom, Formula, Fragment, Var, all_vars, classify,
-                       cleanse, exists_box_vars, formula_key, free_vars,
-                       fresh_like, fresh_var, is_clean, is_nnf, modal_depth,
-                       substitute, to_nnf, var_key)
+from .errors import FragmentError, InternalSolverError
+from .formulas import (Formula, Fragment, Var, all_vars, classify, cleanse,
+                       exists_box_vars, formula_key, free_vars, fresh_like,
+                       fresh_var, is_clean, is_nnf, modal_depth, substitute,
+                       to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
-from .limits import default_budget
-from .results import DecisionResult, TableauNode, Verdict
-from .tableau_common import (assert_free_vars_tracked, assert_measure_decreases,
-                             assert_vars_only_free, canonical_gamma, find_clash,
-                             format_gamma, format_var_set, partition)
+from .results import DecisionResult, TableauNode
+from .tableau_common import (Label, RuleApplication, Search,
+                             assert_free_vars_tracked, assert_vars_only_free,
+                             canonical_gamma, local_rule, partition, read_model)
+# Not called here; bench/tracing.py rebinds these names in this module.
+from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,6 @@ class ConstantDomainPlan:
     pools: dict[Var, tuple[Var, ...]]
     extra: Var
     domain: frozenset[Var]
-
-
-@dataclass(frozen=True)
-class ConstNodeLabel:
-    """(world name, canonical formula set, domain variables used so far)."""
-
-    world: str
-    gamma: tuple[Formula, ...]
-    used: frozenset[Var]
 
 
 def build_domain(theta: Formula) -> ConstantDomainPlan:
@@ -83,160 +77,63 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
 
 
 def make_label(world: str, formulas, used: frozenset[Var],
-               plan: ConstantDomainPlan) -> ConstNodeLabel:
+               plan: ConstantDomainPlan) -> Label:
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, plan.domain)
     assert_vars_only_free(gamma, plan.domain)
-    return ConstNodeLabel(world, gamma, used)
+    return Label(world, gamma, used)
 
 
-@dataclass(frozen=True)
-class RuleApplication:
-    rule: str  # "and" | "or" | "br" | "end"
-    children: tuple[ConstNodeLabel, ...]
-
-
-def expand_constant(label: ConstNodeLabel, plan: ConstantDomainPlan) -> RuleApplication | None:
+def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication | None:
     """One rule application under the fixed-domain regime; None on a leaf.
 
-    Branching needs at least one universal-diamond formula and creates one
-    child per domain variable and universal-diamond formula; every child also
-    receives each exists-box body with its binder replaced by the chosen pool
-    witness.  With only exists-box formulas left the label drops to its
-    literals.
+    The boolean and end rules are the engine's.  Branching needs at least one
+    universal-diamond formula and creates one child per domain variable and
+    universal-diamond formula; every child also receives each exists-box body
+    with its binder replaced by the chosen pool witness.
     """
     part = partition(label.gamma)
     if part.exists_diamond or part.forall_box:
         raise FragmentError("label escaped the exists-box fragment")
-    rest = [f for f in label.gamma]
-
-    if part.ands:
-        first = part.ands[0]
-        rest.remove(first)
-        child = make_label(label.world, rest + [first.left, first.right],
-                           label.used, plan)
-        assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("and", (child,))
-
-    if part.ors:
-        first = part.ors[0]
-        rest.remove(first)
-        children = tuple(
-            make_label(label.world, rest + [branch], label.used, plan)
-            for branch in (first.left, first.right))
-        for child in children:
-            assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("or", children)
-
-    if part.forall_diamond:
-        witnesses: dict[Var, Var] = {}
-        for b in part.exists_box:
-            pool = plan.pools[b.var]
-            available = [v for v in pool if v not in label.used]
-            if not available:
-                raise InternalSolverError(
-                    f"witness pool for {b.var} exhausted; depth bound violated")
-            if len(pool) - len(available) > plan.depth - 1:
-                raise InternalSolverError(
-                    f"more than depth-1 pool members of {b.var} consumed on one path")
-            witnesses[b.var] = available[0]
-        box_bodies = [substitute(b.body, witnesses[b.var], b.var)
-                      for b in part.exists_box]
-        new_used = label.used | set(witnesses.values())
-        children = []
-        index = 0
-        for y in sorted(plan.domain, key=var_key):
-            for b in part.forall_diamond:
-                children.append(make_label(
-                    f"{label.world}.{index}",
-                    box_bodies + [substitute(b.body, y, b.var)],
-                    new_used | {y}, plan))
-                index += 1
-        for child in children:
-            assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("br", tuple(children))
-
-    if part.exists_box:
-        child = make_label(label.world, part.literals, label.used, plan)
-        assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("end", (child,))
-
-    return None
+    if not part.can_branch:
+        return local_rule(label, part, partial(make_label, plan=plan))
+    witnesses: dict[Var, Var] = {}
+    for b in part.exists_box:
+        pool = plan.pools[b.var]
+        available = [v for v in pool if v not in label.vars]
+        if not available:
+            raise InternalSolverError(
+                f"witness pool for {b.var} exhausted; depth bound violated")
+        if len(pool) - len(available) > plan.depth - 1:
+            raise InternalSolverError(
+                f"more than depth-1 pool members of {b.var} consumed on one path")
+        witnesses[b.var] = available[0]
+    box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in part.exists_box]
+    new_used = label.vars | set(witnesses.values())
+    fan = [(y, b) for y in sorted(plan.domain, key=var_key) for b in part.forall_diamond]
+    return RuleApplication("br", tuple(
+        make_label(f"{label.world}.{i}", box_bodies + [substitute(b.body, y, b.var)],
+                   new_used | {y}, plan)
+        for i, (y, b) in enumerate(fan)), new_used)
 
 
-class _Search:
-    def __init__(self, plan: ConstantDomainPlan, budget: int, tracing: bool):
+class _Search(Search):
+    letter = "C"
+
+    def __init__(self, plan: ConstantDomainPlan, budget: int | None, tracing: bool):
+        super().__init__(budget, tracing)
         self.plan = plan
-        self.remaining = budget
-        self.nodes = 0
-        self.max_depth = 0
-        self.trace: list[str] | None = [] if tracing else None
 
-    def spend(self) -> None:
-        self.nodes += 1
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitError("tableau node budget exhausted")
+    def expand(self, label: Label) -> RuleApplication | None:
+        return expand_constant(label, self.plan)
 
-    def emit(self, depth: int, label: ConstNodeLabel, note: str) -> None:
-        if self.trace is not None:
-            self.trace.append(
-                f"{'  ' * (depth - 1)}{label.world} [{note}] "
-                f"Γ={format_gamma(label.gamma)} C={format_var_set(label.used)}")
-
-    def solve(self, label: ConstNodeLabel, depth: int) -> TableauNode | None:
-        self.max_depth = max(self.max_depth, depth)
-        while True:
-            self.spend()
-            clash = find_clash(label.gamma)
-            if clash is not None:
-                self.emit(depth, label, f"closed: {clash}")
-                return None
-            app = expand_constant(label, self.plan)
-            if app is None:
-                self.emit(depth, label, "open leaf")
-                return TableauNode(label.world, label.gamma, self.plan.domain, ())
-            if app.rule in ("and", "end"):
-                self.emit(depth, label, app.rule)
-                label = app.children[0]
-                continue
-            if app.rule == "or":
-                self.emit(depth, label, "or")
-                for child in app.children:
-                    node = self.solve(child, depth + 1)
-                    if node is not None:
-                        return node
-                return None
-            self.emit(depth, label, "br")
-            kids = []
-            for child in app.children:
-                node = self.solve(child, depth + 1)
-                if node is None:
-                    return None
-                kids.append(node)
-            return TableauNode(label.world, label.gamma, self.plan.domain, tuple(kids))
+    def local_domain(self, tracked: frozenset[Var]) -> frozenset[Var]:
+        return self.plan.domain
 
 
 def extract_constant_model(tableau: TableauNode, plan: ConstantDomainPlan) -> KripkeModel:
-    """Model over the precomputed domain; every world carries all of it."""
-    domain = {str(v) for v in plan.domain}
-    worlds: list[str] = []
-    edges: list[tuple[str, str]] = []
-    rho: dict[str, dict[str, set[tuple[str, ...]]]] = {}
-
-    def walk(node: TableauNode) -> None:
-        worlds.append(node.world)
-        for f in node.gamma:
-            if isinstance(f, Atom):
-                rho.setdefault(node.world, {}).setdefault(f.pred.name, set()).add(
-                    tuple(str(a) for a in f.args))
-        for child in node.children:
-            edges.append((node.world, child.world))
-            walk(child)
-
-    walk(tableau)
-    return KripkeModel.create(worlds, domain, edges,
-                              {w: set(domain) for w in worlds}, rho)
+    """Model over ``plan.domain``, which every world of the completion records."""
+    return read_model(tableau)
 
 
 def decide_constant_eb(formula: Formula, budget: int | None = None,
@@ -249,17 +146,13 @@ def decide_constant_eb(formula: Formula, budget: int | None = None,
     """
     theta = cleanse(to_nnf(formula))
     plan = build_domain(theta)
-    root = make_label("r", (theta,), frozenset(free_vars(theta)), plan)
-    search = _Search(plan, default_budget() if budget is None else budget, tracing)
-    completion = search.solve(root, 1)
-    trace = tuple(search.trace) if search.trace is not None else None
+    search = _Search(plan, budget, tracing)
+    completion = search.solve(make_label("r", (theta,), frozenset(free_vars(theta)), plan), 1)
     if completion is None:
-        return DecisionResult(Verdict.UNSAT, None, None, None, theta,
-                              search.nodes, search.max_depth, None, trace)
+        return search.result(theta)
     model = extract_constant_model(completion, plan)
     assignment = identity_assignment(free_vars(theta))
     if not check(model, "r", assignment, theta):
         raise InternalSolverError(
             f"extracted constant-domain model does not satisfy {formula_key(theta)}")
-    return DecisionResult(Verdict.SAT, model, "r", assignment, theta,
-                          search.nodes, search.max_depth, completion, trace)
+    return search.result(theta, completion, model, assignment)

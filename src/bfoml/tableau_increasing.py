@@ -1,198 +1,69 @@
 """Terminating tableau decision procedure over increasing-domain models.
 
-Works on the full bundled language.  Labels are (world, formula set, tracked
-free variables); the boolean rules refine a label in place, disjunction
-branches are explored depth-first with backtracking, and the branching rule
+Works on the full bundled language.  This module is the increasing-domain
+policy over the engine in ``tableau_common``: a label tracks the free
+variables usable as witnesses (trace letter ``F``), and its branching rule
 creates one successor world per existential-diamond formula plus one per
-(universal-diamond formula, tracked variable) pair, feeding every
-exists-box body and every instantiation of every forall-box body to each
-child.  Existential bundles supply their own variables as fresh witnesses,
-which the growing local domains of increasing-domain models can absorb.
+(universal-diamond formula, tracked variable) pair, feeding every exists-box
+body and every instantiation of every forall-box body to each child.
+Existential bundles supply their own variables as fresh witnesses, which the
+growing local domains of increasing-domain models can absorb.
 
-A satisfiable input yields an open completion from which a model is read off:
-worlds are the completion's nodes, the local domain of a world is its tracked
-variable set, and facts are the positive literals at its last label.  The
-extracted model is re-checked with the model checker before SAT is reported.
+In the model read off an open completion, a world's local domain is its
+tracked set.  The model checker re-checks it before SAT is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import InternalSolverError
+from .formulas import (Formula, Var, all_vars, cleanse, formula_key, free_vars,
+                       fresh_like, substitute, to_nnf, var_key)
+from .kripke import check, identity_assignment
+from .results import DecisionResult
+from .tableau_common import (Label, RuleApplication, Search,
+                             assert_free_vars_tracked, assert_vars_only_free,
+                             canonical_gamma, local_rule, partition, read_model)
+# Not called here; bench/tracing.py rebinds these names in this module.
+from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
-from .errors import InternalSolverError, ResourceLimitError
-from .formulas import (Atom, Formula, Var, all_vars, cleanse, formula_key,
-                       free_vars, fresh_like, substitute, to_nnf, var_key)
-from .kripke import KripkeModel, check, identity_assignment
-from .limits import default_budget
-from .results import DecisionResult, TableauNode, Verdict
-from .tableau_common import (assert_free_vars_tracked, assert_measure_decreases,
-                             assert_vars_only_free, canonical_gamma, find_clash,
-                             format_gamma, format_var_set, partition)
-
-
-@dataclass(frozen=True)
-class NodeLabel:
-    """(world name, canonical formula set, variables usable as witnesses)."""
-
-    world: str
-    gamma: tuple[Formula, ...]
-    free: frozenset[Var]
+# The read-off under its own name, which bench/tracing.py times.
+extract_model = read_model
 
 
-def make_label(world: str, formulas, free: frozenset[Var]) -> NodeLabel:
+def make_label(world: str, formulas, free: frozenset[Var]) -> Label:
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, free)
     assert_vars_only_free(gamma, free)
-    return NodeLabel(world, gamma, free)
+    return Label(world, gamma, free)
 
 
-@dataclass(frozen=True)
-class RuleApplication:
-    rule: str  # "and" | "or" | "br" | "end"
-    children: tuple[NodeLabel, ...]
-    new_free: frozenset[Var] | None = None  # the enlarged set on "br"
-
-
-def expand(label: NodeLabel) -> RuleApplication | None:
+def expand(label: Label) -> RuleApplication | None:
     """Apply one tableau rule to the label; None when it is a finished leaf.
 
-    Boolean rules first: the leftmost conjunction is split in place, else the
-    leftmost disjunction yields two alternative children.  Once only bundles
-    and literals remain, a label with at least one diamond bundle branches,
-    one with only box bundles drops them, and a literal-only label is a leaf.
+    The boolean and end rules are the engine's.  Once only bundles and
+    literals remain, a label with at least one diamond bundle branches.
     """
     part = partition(label.gamma)
-    rest = [f for f in label.gamma]
-
-    if part.ands:
-        first = part.ands[0]
-        rest.remove(first)
-        child = make_label(label.world, rest + [first.left, first.right], label.free)
-        assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("and", (child,))
-
-    if part.ors:
-        first = part.ors[0]
-        rest.remove(first)
-        children = tuple(
-            make_label(label.world, rest + [branch], label.free)
-            for branch in (first.left, first.right))
-        for child in children:
-            assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("or", children)
-
-    diamonds = len(part.exists_diamond) + len(part.forall_diamond)
-    boxes = len(part.exists_box) + len(part.forall_box)
-
-    if diamonds:
-        new_free = label.free \
-            | {b.var for b in part.exists_diamond} \
-            | {b.var for b in part.exists_box}
-        box_bodies = [b.body for b in part.exists_box]
-        box_bodies += [substitute(b.body, y, b.var)
-                       for b in part.forall_box
-                       for y in sorted(new_free, key=var_key)]
-        children = []
-        for b in part.exists_diamond:
-            children.append([b.body] + box_bodies)
-        for b in part.forall_diamond:
-            for y in sorted(new_free, key=var_key):
-                children.append([substitute(b.body, y, b.var)] + box_bodies)
-        labels = tuple(
-            make_label(f"{label.world}.{i}", formulas, new_free)
-            for i, formulas in enumerate(children))
-        for child in labels:
-            assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("br", labels, new_free)
-
-    if boxes:
-        child = make_label(label.world, part.literals, label.free)
-        assert_measure_decreases(label.gamma, child.gamma)
-        return RuleApplication("end", (child,))
-
-    return None
+    if not part.can_branch:
+        return local_rule(label, part, make_label)
+    new_free = label.vars | {b.var for b in part.exists_diamond + part.exists_box}
+    box_bodies = [b.body for b in part.exists_box]
+    box_bodies += [substitute(b.body, y, b.var)
+                   for b in part.forall_box
+                   for y in sorted(new_free, key=var_key)]
+    children = [[b.body] + box_bodies for b in part.exists_diamond]
+    children += [[substitute(b.body, y, b.var)] + box_bodies
+                 for b in part.forall_diamond for y in sorted(new_free, key=var_key)]
+    return RuleApplication("br", tuple(
+        make_label(f"{label.world}.{i}", formulas, new_free)
+        for i, formulas in enumerate(children)), new_free)
 
 
-class _Search:
-    def __init__(self, budget: int, tracing: bool):
-        self.remaining = budget
-        self.nodes = 0
-        self.max_depth = 0
-        self.trace: list[str] | None = [] if tracing else None
+class _Search(Search):
+    letter = "F"
 
-    def spend(self) -> None:
-        self.nodes += 1
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitError("tableau node budget exhausted")
-
-    def emit(self, depth: int, label: NodeLabel, note: str) -> None:
-        if self.trace is not None:
-            self.trace.append(
-                f"{'  ' * (depth - 1)}{label.world} [{note}] "
-                f"Γ={format_gamma(label.gamma)} F={format_var_set(label.free)}")
-
-    def solve(self, label: NodeLabel, depth: int) -> TableauNode | None:
-        self.max_depth = max(self.max_depth, depth)
-        while True:
-            self.spend()
-            clash = find_clash(label.gamma)
-            if clash is not None:
-                self.emit(depth, label, f"closed: {clash}")
-                return None
-            app = expand(label)
-            if app is None:
-                self.emit(depth, label, "open leaf")
-                return TableauNode(label.world, label.gamma, label.free, ())
-            if app.rule in ("and", "end"):
-                self.emit(depth, label, app.rule)
-                label = app.children[0]
-                continue
-            if app.rule == "or":
-                self.emit(depth, label, "or")
-                for child in app.children:
-                    node = self.solve(child, depth + 1)
-                    if node is not None:
-                        return node
-                return None
-            self.emit(depth, label, "br")
-            kids = []
-            for child in app.children:
-                node = self.solve(child, depth + 1)
-                if node is None:
-                    return None
-                kids.append(node)
-            return TableauNode(label.world, label.gamma, app.new_free, tuple(kids))
-
-
-def extract_model(tableau: TableauNode) -> KripkeModel:
-    """Read a model off an open completion.
-
-    Worlds are node names, edges follow the tree, the local domain of a world
-    is its recorded variable set, and a positive literal at the last label of
-    a world becomes a fact there.  Domain elements are variable names.
-    """
-    worlds: list[str] = []
-    edges: list[tuple[str, str]] = []
-    local: dict[str, set[str]] = {}
-    rho: dict[str, dict[str, set[tuple[str, ...]]]] = {}
-    elements: set[str] = set()
-
-    def walk(node: TableauNode) -> None:
-        worlds.append(node.world)
-        local[node.world] = {str(v) for v in node.dom}
-        elements.update(local[node.world])
-        for f in node.gamma:
-            elements.update(str(v) for v in all_vars(f))
-            if isinstance(f, Atom):
-                rho.setdefault(node.world, {}).setdefault(f.pred.name, set()).add(
-                    tuple(str(a) for a in f.args))
-        for child in node.children:
-            edges.append((node.world, child.world))
-            walk(child)
-
-    walk(tableau)
-    return KripkeModel.create(worlds, elements, edges, local, rho)
+    def expand(self, label: Label) -> RuleApplication | None:
+        return expand(label)
 
 
 def decide_increasing(formula: Formula, budget: int | None = None,
@@ -207,17 +78,13 @@ def decide_increasing(formula: Formula, budget: int | None = None,
     theta = cleanse(to_nnf(formula))
     z = fresh_like(Var("z"), all_vars(theta))
     f_r = free_vars(theta) | {z}
-    root = make_label("r", (theta,), f_r)
-    search = _Search(default_budget() if budget is None else budget, tracing)
-    completion = search.solve(root, 1)
-    trace = tuple(search.trace) if search.trace is not None else None
+    search = _Search(budget, tracing)
+    completion = search.solve(make_label("r", (theta,), f_r), 1)
     if completion is None:
-        return DecisionResult(Verdict.UNSAT, None, None, None, theta,
-                              search.nodes, search.max_depth, None, trace)
+        return search.result(theta)
     model = extract_model(completion)
     assignment = identity_assignment(f_r)
     if not check(model, "r", assignment, theta):
         raise InternalSolverError(
             f"extracted model does not satisfy {formula_key(theta)}")
-    return DecisionResult(Verdict.SAT, model, "r", assignment, theta,
-                          search.nodes, search.max_depth, completion, trace)
+    return search.result(theta, completion, model, assignment)

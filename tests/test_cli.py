@@ -184,3 +184,35 @@ def test_budget_env_default(monkeypatch, capsys):
     monkeypatch.setenv("BFOML_BUDGET", "40")
     assert main(["sat", "E a <> E b <> E c <> A u <> A v <> A w1 <> P(u)"]) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys, argv, reason):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "E x [] P(x)", "--budget", "0"],
+    ["oracle", "E x [] P(x)", "--budget", "-5"],
+    ["fuzz", "--count", "1", "--oracle-budget", "0"],
+])
+def test_nonpositive_budget_is_rejected(argv, capsys):
+    assert_one_line_error(capsys, argv, "budget must be at least 1")
+
+
+@pytest.mark.parametrize("flag", ["--max-worlds", "--max-domain"])
+def test_oracle_empty_bound_is_rejected(flag, capsys):
+    assert_one_line_error(capsys, ["oracle", "E x [] P(x)", flag, "0"],
+                          f"{flag} must be at least 1")
+
+
+def test_fuzz_negative_count_is_rejected(capsys):
+    assert_one_line_error(capsys, ["fuzz", "--count", "-3"], "--count must not be negative")
+
+
+def test_budget_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("BFOML_BUDGET", "lots")
+    assert_one_line_error(capsys, ["sat", "E x [] P(x)"], "BFOML_BUDGET must be an integer")

@@ -222,3 +222,12 @@ def test_bounded_bridge_on_curated_sentences():
         found = enumerate_sat(translate_sentence(s), 3, 1, "constant",
                               budget=50_000_000)
         assert found is None
+
+
+def test_translation_of_an_undesugared_matrix_is_an_internal_error():
+    # Or and implies are expanded before translation; the check survives -O.
+    from bfoml import InternalSolverError
+    from bfoml.fo import FOOr, _translate_matrix
+    matrix = FOOr(FORel(Var("x"), Var("y")), FORel(Var("y"), Var("x")))
+    with pytest.raises(InternalSolverError):
+        _translate_matrix(matrix, iter([Var("z")]))

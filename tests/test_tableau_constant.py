@@ -59,7 +59,7 @@ def test_expand_forall_diamond_over_domain():
     assert app.rule == "br"
     (child,) = app.children
     assert child.gamma == (parse("P(z)"),)
-    assert child.used == {Var("z")}
+    assert child.vars == {Var("z")}
 
 
 def test_expand_box_takes_lowest_unused_pool_member():
@@ -70,7 +70,7 @@ def test_expand_box_takes_lowest_unused_pool_member():
     assert app.rule == "br"
     assert [sorted(str(f) for f in c.gamma) for c in app.children] == [
         ["P(x^1)", "Q(x^1)"], ["P(x^1)", "Q(z)"]]
-    assert [names(c.used) for c in app.children] == [["x^1"], ["x^1", "z"]]
+    assert [names(c.vars) for c in app.children] == [["x^1"], ["x^1", "z"]]
 
 
 def test_witness_pick_skips_pool_members_used_on_the_path():
@@ -85,7 +85,7 @@ def test_witness_pick_skips_pool_members_used_on_the_path():
     assert app.rule == "br"
     for child in app.children:
         assert parse("P(x^3)") in child.gamma
-        assert Var("x", 3) in child.used
+        assert Var("x", 3) in child.vars
 
 
 def test_deep_path_through_own_pool_decides_correctly():
@@ -172,3 +172,16 @@ def test_extraction_helper_matches_result():
     assert result.verdict is Verdict.SAT
     plan = build_domain(result.normalized)
     assert extract_constant_model(result.tableau, plan) == result.model
+
+
+def test_trace_text_is_pinned():
+    result = decide(parse("(E x [] P(x) & A y <> (!P(y) | Q(y)))"), tracing=True)
+    assert result.trace == (
+        "r [and] Γ={(E x [] P(x) & A y <> (!P(y) | Q(y)))} C={}",
+        "r [br] Γ={A y <> (!P(y) | Q(y)), E x [] P(x)} C={}",
+        "  r.0 [or] Γ={(!P(x^1) | Q(x^1)), P(x^1)} C={x^1}",
+        "    r.0 [closed: P(x^1) and !P(x^1)] Γ={!P(x^1), P(x^1)} C={x^1}",
+        "    r.0 [open leaf] Γ={P(x^1), Q(x^1)} C={x^1}",
+        "  r.1 [or] Γ={(!P(z) | Q(z)), P(x^1)} C={x^1,z}",
+        "    r.1 [open leaf] Γ={!P(z), P(x^1)} C={x^1,z}",
+    )

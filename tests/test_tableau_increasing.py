@@ -2,10 +2,13 @@
 
 import pytest
 
-from bfoml import (ResourceLimitError, Var, Verdict, check, decide_increasing,
-                   enumerate_sat, parse, validate)
+from bfoml import (FragmentError, ResourceLimitError, Var, Verdict, check,
+                   decide_constant_eb, decide_increasing, enumerate_sat, parse,
+                   validate)
 from bfoml.fuzz import FormulaGenerator
 from bfoml.tableau_increasing import expand, extract_model, make_label
+
+from golden import GOLDEN
 
 
 def label(world, texts, names):
@@ -18,7 +21,7 @@ def test_expand_exists_diamond():
     assert app.rule == "br"
     (child,) = app.children
     assert child.gamma == (parse("P(x)"),)
-    assert child.free == {Var("z"), Var("x")}
+    assert child.vars == {Var("z"), Var("x")}
 
 
 def test_expand_forall_diamond_instantiates_over_tracked():
@@ -26,7 +29,7 @@ def test_expand_forall_diamond_instantiates_over_tracked():
     assert app.rule == "br"
     (child,) = app.children
     assert child.gamma == (parse("P(z)"),)
-    assert child.free == {Var("z")}
+    assert child.vars == {Var("z")}
 
 
 def test_expand_end_without_diamonds():
@@ -54,7 +57,7 @@ def test_expand_all_four_bundle_groups_at_once():
     app = expand(label("r", ["E a <> P(a)", "E b [] Q(b,b)", "A c <> P(c)",
                              "A d [] Q(d,d)", "P(z)"], ["z"]))
     assert app.rule == "br"
-    assert app.new_free == {Var("a"), Var("b"), Var("z")}
+    assert app.vars == {Var("a"), Var("b"), Var("z")}
     shared = {parse("Q(b,b)"), parse("Q(a,a)"), parse("Q(z,z)")}
     got = [set(c.gamma) for c in app.children]
     # One successor for the exists-diamond, one per (forall-diamond, tracked
@@ -160,3 +163,33 @@ def test_extract_model_roundtrip_through_public_helper():
     result = decide_increasing(parse("E x <> P(x)"))
     rebuilt = extract_model(result.tableau)
     assert rebuilt == result.model
+
+
+@pytest.mark.parametrize("decide, fragment", [(decide_increasing, "full"),
+                                              (decide_constant_eb, "eb")],
+                         ids=["increasing", "constant"])
+def test_model_domain_is_the_union_of_local_domains(decide, fragment):
+    gen = FormulaGenerator(71, fragment=fragment)
+    formulas = [parse(text) for _, text, _ in GOLDEN] + [gen.formula() for _ in range(100)]
+    for f in formulas:
+        try:
+            result = decide(f)
+        except FragmentError:
+            continue
+        if result.is_sat:
+            local = set().union(*result.model.local.values())
+            assert set(result.model.domain) == local
+
+
+def test_trace_text_is_pinned():
+    result = decide_increasing(parse("(Q(y) & (!Q(y) | E x <> (E u [] P(u) & !P(x))))"),
+                               tracing=True)
+    assert result.trace == (
+        "r [and] Γ={(Q(y) & (!Q(y) | E x <> (E u [] P(u) & !P(x))))} F={y,z}",
+        "r [or] Γ={(!Q(y) | E x <> (E u [] P(u) & !P(x))), Q(y)} F={y,z}",
+        "  r [closed: Q(y) and !Q(y)] Γ={!Q(y), Q(y)} F={y,z}",
+        "  r [br] Γ={E x <> (E u [] P(u) & !P(x)), Q(y)} F={y,z}",
+        "    r.0 [and] Γ={(E u [] P(u) & !P(x))} F={x,y,z}",
+        "    r.0 [end] Γ={!P(x), E u [] P(u)} F={x,y,z}",
+        "    r.0 [open leaf] Γ={!P(x)} F={x,y,z}",
+    )
