@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .enumeration import enumerate_sat
 from .errors import BfomlError, InternalSolverError
@@ -31,19 +30,6 @@ from .tableau_increasing import decide_increasing
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_FALSE = 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary of one decision run; timing is excluded from golden comparisons."""
-
-    verdict: str
-    elapsed_ms: float
-    nodes_expanded: int
-
-    def emit(self) -> None:
-        print(f"nodes={self.nodes_expanded} elapsed-ms={self.elapsed_ms:.1f}",
-              file=sys.stderr)
 
 
 def _read_formula_arg(args) -> str:
@@ -68,13 +54,11 @@ def _cmd_sat(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write("\n".join(result.trace or ()) + "\n")
-    report = RunReport(result.verdict.value,
-                       (time.perf_counter() - started) * 1000.0,
-                       result.nodes_expanded)
-    if report.nodes_expanded < 1:
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if result.nodes_expanded < 1:
         raise InternalSolverError("a decision expanded no tableau node")
-    print(report.verdict)
-    report.emit()
+    print(result.verdict.value)
+    print(f"nodes={result.nodes_expanded} elapsed-ms={elapsed_ms:.1f}", file=sys.stderr)
     return EXIT_SAT if result.is_sat else EXIT_UNSAT
 
 
@@ -286,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BfomlError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

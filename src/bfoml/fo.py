@@ -8,7 +8,9 @@ mirrors the quantifier prefix with bundles, a second forces all worlds at
 the depth where R is read off to agree on P and Q, and a third keeps every
 path long enough to reach that depth.
 
-Concrete syntax::
+The matrix is an ordinary formula over the one predicate R/2, built with
+``!``, ``&``, ``|`` and ``->`` and read by the formula parser.  Concrete
+syntax::
 
     sentence := (("EX" | "ALL") var ".")+ matrix
     matrix   := "R" "(" var "," var ")" | "!" matrix
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 from .errors import InternalSolverError, ModelFormatError, ParseError
-from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not,
-                       Predicate, Quant, TOP, Var, var_key)
+from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
+                       Predicate, Quant, TOP, Var, format_formula, free_vars,
+                       fresh_like, var_key)
+from .kripke import KripkeModel
 from .parser import _Parser, parse_var_name, tokenize
 
 P_PRED = Predicate("P", 1)
@@ -34,43 +37,11 @@ Q_PRED = Predicate("Q", 1)
 
 
 @dataclass(frozen=True)
-class FORel:
-    left: Var
-    right: Var
-
-
-@dataclass(frozen=True)
-class FONot:
-    body: "FOMatrix"
-
-
-@dataclass(frozen=True)
-class FOAnd:
-    left: "FOMatrix"
-    right: "FOMatrix"
-
-
-@dataclass(frozen=True)
-class FOOr:
-    left: "FOMatrix"
-    right: "FOMatrix"
-
-
-@dataclass(frozen=True)
-class FOImplies:
-    left: "FOMatrix"
-    right: "FOMatrix"
-
-
-FOMatrix = FORel | FONot | FOAnd | FOOr | FOImplies
-
-
-@dataclass(frozen=True)
 class FOSentence:
     """Prenex sentence: quantifier prefix over a quantifier-free matrix."""
 
     prefix: tuple[tuple[Quant, Var], ...]
-    matrix: FOMatrix
+    matrix: Formula
 
     def __str__(self) -> str:
         return format_fo(self)
@@ -114,30 +85,14 @@ def fo_model_loads(text: str) -> FOModel:
     return fo_model_from_json_dict(doc)
 
 
-def fo_vars(m: FOMatrix) -> frozenset[Var]:
-    if isinstance(m, FORel):
-        return frozenset((m.left, m.right))
-    if isinstance(m, FONot):
-        return fo_vars(m.body)
-    return fo_vars(m.left) | fo_vars(m.right)
-
-
 def format_fo(s: FOSentence) -> str:
-    def fmt(m: FOMatrix) -> str:
-        if isinstance(m, FORel):
-            return f"R({m.left},{m.right})"
-        if isinstance(m, FONot):
-            return "!" + fmt(m.body)
-        op = {FOAnd: "&", FOOr: "|", FOImplies: "->"}[type(m)]
-        return f"({fmt(m.left)} {op} {fmt(m.right)})"
-
     prefix = "".join(
         f"{'EX' if q is Quant.EXISTS else 'ALL'} {v} . " for q, v in s.prefix)
-    return prefix + fmt(s.matrix)
+    return prefix + format_formula(s.matrix)
 
 
 class _FOParser(_Parser):
-    """The relational grammar on the formula parser's token cursor."""
+    """The formula grammar with R/2 as its only predicate, after a prefix."""
 
     def sentence(self) -> FOSentence:
         prefix: list[tuple[Quant, Var]] = []
@@ -152,12 +107,12 @@ class _FOParser(_Parser):
                 raise ParseError(f"variable {v} quantified twice", vtok.line, vtok.column)
             prefix.append((q, v))
             self.expect_sym(".")
-        matrix = self.matrix()
+        matrix = self.formula()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
         bound = {v for _, v in prefix}
-        open_vars = fo_vars(matrix) - bound
+        open_vars = free_vars(matrix) - bound
         if open_vars:
             names = ", ".join(str(v) for v in sorted(open_vars, key=var_key))
             raise ParseError(f"not a sentence: free variables {names}")
@@ -165,36 +120,19 @@ class _FOParser(_Parser):
             raise ParseError("a sentence needs at least one quantifier")
         return FOSentence(tuple(prefix), matrix)
 
-    def matrix(self) -> FOMatrix:
+    def formula(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "!":
-            self.advance()
-            return FONot(self.matrix())
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            left = self.matrix()
-            op = self.advance()
-            if op.kind != "sym" or op.text not in ("&", "|", "->"):
-                raise ParseError(f"expected '&', '|' or '->', found {op.text!r}",
-                                 op.line, op.column)
-            right = self.matrix()
-            self.expect_sym(")")
-            ctor = {"&": FOAnd, "|": FOOr, "->": FOImplies}[op.text]
-            return ctor(left, right)
-        if tok.kind == "uident":
-            if tok.text != "R":
-                raise ParseError(f"only the binary predicate R is available, found {tok.text}",
-                                 tok.line, tok.column)
-            self.advance()
-            self.expect_sym("(")
-            a = self.advance()
-            self.expect_sym(",")
-            b = self.advance()
-            self.expect_sym(")")
-            if a.kind != "lident" or b.kind != "lident":
-                raise ParseError("R takes two variables", tok.line, tok.column)
-            return FORel(parse_var_name(a.text), parse_var_name(b.text))
-        raise self.fail("expected a matrix formula")
+        if tok.kind == "uident" and tok.text != "R":
+            raise ParseError(f"only the binary predicate R is available, found {tok.text}",
+                             tok.line, tok.column)
+        return super().formula()
+
+    def atom(self) -> Atom:
+        tok = self.peek()
+        found = super().atom()
+        if found.pred.arity != 2:
+            raise ParseError("R takes two variables", tok.line, tok.column)
+        return found
 
 
 def parse_fo(text: str) -> FOSentence:
@@ -206,14 +144,15 @@ def fo_check(model: FOModel, sentence: FOSentence) -> bool:
     """Standard truth by exhaustive quantifier expansion; domains stay tiny."""
     elements = list(model.domain)
 
-    def matrix_value(m: FOMatrix, sigma: dict[Var, str]) -> bool:
-        if isinstance(m, FORel):
-            return (sigma[m.left], sigma[m.right]) in model.rel
-        if isinstance(m, FONot):
+    def matrix_value(m: Formula, sigma: dict[Var, str]) -> bool:
+        if isinstance(m, Atom):
+            x, y = m.args
+            return (sigma[x], sigma[y]) in model.rel
+        if isinstance(m, Not):
             return not matrix_value(m.body, sigma)
-        if isinstance(m, FOAnd):
+        if isinstance(m, And):
             return matrix_value(m.left, sigma) and matrix_value(m.right, sigma)
-        if isinstance(m, FOOr):
+        if isinstance(m, Or):
             return matrix_value(m.left, sigma) or matrix_value(m.right, sigma)
         return (not matrix_value(m.left, sigma)) or matrix_value(m.right, sigma)
 
@@ -245,48 +184,44 @@ def fo_enumerate_sat(sentence: FOSentence, max_domain: int) -> FOModel | None:
 
 
 def _fresh_stream(used: set[Var]) -> Iterator[Var]:
-    base = Var("z")
-    if base not in used:
-        used.add(base)
-        yield base
-    for k in count(1):
-        candidate = Var("z", k)
-        if candidate not in used:
-            used.add(candidate)
-            yield candidate
+    while True:
+        fresh = fresh_like(Var("z"), used)
+        used.add(fresh)
+        yield fresh
 
 
-def _desugar(m: FOMatrix) -> FOMatrix:
-    if isinstance(m, FORel):
+def _desugar(m: Formula) -> Formula:
+    if isinstance(m, Atom):
         return m
-    if isinstance(m, FONot):
-        return FONot(_desugar(m.body))
-    if isinstance(m, FOAnd):
-        return FOAnd(_desugar(m.left), _desugar(m.right))
-    if isinstance(m, FOOr):
-        return FONot(FOAnd(FONot(_desugar(m.left)), FONot(_desugar(m.right))))
-    return FONot(FOAnd(_desugar(m.left), FONot(_desugar(m.right))))
+    if isinstance(m, Not):
+        return Not(_desugar(m.body))
+    if isinstance(m, And):
+        return And(_desugar(m.left), _desugar(m.right))
+    if isinstance(m, Or):
+        return Not(And(Not(_desugar(m.left)), Not(_desugar(m.right))))
+    return Not(And(_desugar(m.left), Not(_desugar(m.right))))
 
 
-def _translate_matrix(m: FOMatrix, fresh: Iterator[Var]) -> Formula:
-    if isinstance(m, FORel):
+def _translate_matrix(m: Formula, fresh: Iterator[Var]) -> Formula:
+    if isinstance(m, Atom):
+        x, y = m.args
         return Bundle(Quant.EXISTS, Mod.DIAMOND, next(fresh),
-                      And(Atom(P_PRED, (m.left,)), Atom(Q_PRED, (m.right,))))
-    if isinstance(m, FONot):
+                      And(Atom(P_PRED, (x,)), Atom(Q_PRED, (y,))))
+    if isinstance(m, Not):
         return Not(_translate_matrix(m.body, fresh))
-    if not isinstance(m, FOAnd):
+    if not isinstance(m, And):
         raise InternalSolverError(
             f"translation expects a desugared matrix, got {type(m).__name__}")
     return And(_translate_matrix(m.left, fresh),
                _translate_matrix(m.right, fresh))
 
 
-def translate_qf(matrix: FOMatrix) -> Formula:
+def translate_qf(matrix: Formula) -> Formula:
     """Encode a quantifier-free matrix; or and implies are expanded first.
 
     Each R atom gets its own fresh diamond variable so the result is clean.
     """
-    used = set(fo_vars(matrix))
+    used = set(free_vars(matrix))
     return _translate_matrix(_desugar(matrix), _fresh_stream(used))
 
 
@@ -299,7 +234,7 @@ def translate_sentence(sentence: FOSentence) -> Formula:
     exists-diamond fragment.
     """
     n = len(sentence.prefix)
-    used = set(fo_vars(sentence.matrix)) | {v for _, v in sentence.prefix}
+    used = set(free_vars(sentence.matrix)) | {v for _, v in sentence.prefix}
     fresh = _fresh_stream(used)
 
     psi1 = _translate_matrix(_desugar(sentence.matrix), fresh)
@@ -333,15 +268,13 @@ def translate_sentence(sentence: FOSentence) -> Formula:
     return And(And(psi1, psi2), psi3)
 
 
-def build_witness_model(model: FOModel, sentence: FOSentence):
+def build_witness_model(model: FOModel, sentence: FOSentence) -> KripkeModel:
     """The constant-domain chain-plus-fan model for a satisfying FO model.
 
     Two lead-in worlds, one chain world per quantifier, then one fan world
     per domain element d, where P holds of d and Q of every R-successor of d.
     Callers are expected to have checked fo_check(model, sentence) first.
     """
-    from .kripke import KripkeModel
-
     n = len(sentence.prefix)
     chain = ["v1", "v2"] + [f"w{i}" for i in range(1, n + 1)]
     fans = {d: f"u_{d}" for d in model.domain}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .enumeration import enumerate_sat
 from .errors import ResourceLimitError
@@ -109,7 +110,7 @@ class ModelGenerator:
         rho: dict[str, dict[str, set[tuple[str, ...]]]] = {w: {} for w in worlds}
         for w in worlds:
             for name, arity in self.predicates:
-                tuples = {t for t in _tuples(domain, arity) if rng.random() < 0.35}
+                tuples = {t for t in product(domain, repeat=arity) if rng.random() < 0.35}
                 if tuples:
                     rho[w][name] = tuples
         return KripkeModel.create(worlds, domain, edges, local, rho)
@@ -118,15 +119,6 @@ class ModelGenerator:
         # Sorted draw order keeps runs reproducible across hash seeds.
         pool = sorted(model.local[world])
         return {v: self.rng.choice(pool) for v in sorted(variables, key=var_key)}
-
-
-def _tuples(domain, arity):
-    if arity == 0:
-        return [()]
-    out = [()]
-    for _ in range(arity):
-        out = [t + (d,) for t in out for d in domain]
-    return out
 
 
 @dataclass

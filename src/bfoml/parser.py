@@ -55,8 +55,7 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         lexeme = m.group(0)
         if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup != "sym" else "sym"
-            tokens.append(Token(kind, lexeme, line, col))
+            tokens.append(Token(m.lastgroup, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines

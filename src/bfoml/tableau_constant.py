@@ -41,7 +41,6 @@ class ConstantDomainPlan:
     depth: int
     exists_vars: tuple[Var, ...]
     pools: dict[Var, tuple[Var, ...]]
-    extra: Var
     domain: frozenset[Var]
 
 
@@ -73,7 +72,7 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
     extra = fresh_like(Var("z"), used)
     domain = frozenset(free_vars(theta)) | frozenset(
         v for pool in pools.values() for v in pool) | {extra}
-    return ConstantDomainPlan(theta, h, exists_vars, pools, extra, domain)
+    return ConstantDomainPlan(theta, h, exists_vars, pools, domain)
 
 
 def make_label(world: str, formulas, used: frozenset[Var],

@@ -216,3 +216,11 @@ def test_fuzz_negative_count_is_rejected(capsys):
 def test_budget_env_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("BFOML_BUDGET", "lots")
     assert_one_line_error(capsys, ["sat", "E x [] P(x)"], "BFOML_BUDGET must be an integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "!" * 3000 + "P(x)"],
+    ["translate", "EX x . " + "!" * 3000 + "R(x,x)"],
+])
+def test_deep_nesting_is_a_one_line_error(argv, capsys):
+    assert_one_line_error(capsys, argv, "nested too deeply")

@@ -5,7 +5,7 @@ import pytest
 from bfoml import (Fragment, ParseError, Var, check, classify, cleanse,
                    enumerate_sat, is_clean, modal_depth, parse, parse_fo,
                    translate_qf, translate_sentence)
-from bfoml.fo import (FOModel, FORel, build_witness_model, fo_check,
+from bfoml.fo import (FOModel, build_witness_model, fo_check,
                       fo_enumerate_sat, fo_satisfying_models, format_fo)
 from bfoml.formulas import And, Bundle, Mod, Quant, format_formula
 from bfoml.kripke import KripkeModel, validate
@@ -62,18 +62,17 @@ def test_fo_enumerate_contradiction():
 
 
 def test_translate_atom():
-    encoded = translate_qf(FORel(Var("x"), Var("y")))
+    encoded = translate_qf(parse("R(x,y)"))
     assert isinstance(encoded, Bundle)
     assert encoded.quant is Quant.EXISTS and encoded.mod is Mod.DIAMOND
     assert encoded.body == parse("(P(x) & Q(y))")
 
 
 def test_translate_negation_is_homomorphic():
-    from bfoml.fo import FONot
     from bfoml.formulas import Not
-    encoded = translate_qf(FONot(FORel(Var("x"), Var("y"))))
+    encoded = translate_qf(Not(parse("R(x,y)")))
     assert isinstance(encoded, Not)
-    assert encoded.body == translate_qf(FORel(Var("x"), Var("y")))
+    assert encoded.body == translate_qf(parse("R(x,y)"))
 
 
 def test_translate_two_atoms_get_distinct_witnesses():
@@ -227,7 +226,33 @@ def test_bounded_bridge_on_curated_sentences():
 def test_translation_of_an_undesugared_matrix_is_an_internal_error():
     # Or and implies are expanded before translation; the check survives -O.
     from bfoml import InternalSolverError
-    from bfoml.fo import FOOr, _translate_matrix
-    matrix = FOOr(FORel(Var("x"), Var("y")), FORel(Var("y"), Var("x")))
+    from bfoml.fo import _translate_matrix
+    from bfoml.formulas import Or
+    matrix = Or(parse("R(x,y)"), parse("R(y,x)"))
     with pytest.raises(InternalSolverError):
         _translate_matrix(matrix, iter([Var("z")]))
+
+
+@pytest.mark.parametrize("matrix", [
+    "T", "F", "S(x,x)", "R(x)", "R(x,x,x)", "R()", "R(X,x)", "E y [] R(x,y)",
+    "(R(x,x) & T)", "!", "(R(x,x) | R(x))",
+])
+def test_parse_fo_rejects_malformed_matrix_with_position(matrix):
+    with pytest.raises(ParseError) as info:
+        parse_fo("EX x . " + matrix)
+    assert info.value.line is not None and info.value.column is not None
+
+
+def test_parse_fo_matrix_is_an_ordinary_formula():
+    matrix = "((R(x,y) | !R(y,x)) -> (R(x,x) & R(y,y)))"
+    assert parse_fo("ALL x . EX y . " + matrix).matrix == parse(matrix)
+
+
+def test_translate_sentence_full_text():
+    encoded = translate_sentence(parse_fo("EX x . ((R(x,x) | !R(x,x)) -> R(x,x))"))
+    assert format_formula(encoded) == (
+        "((E x <> !(!(!E z <> (P(x) & Q(x)) & !!E z^1 <> (P(x) & Q(x))) "
+        "& !E z^2 <> (P(x) & Q(x))) & A z^3 [] A z^4 [] "
+        "(E z^6 <> E z^5 <> (P(z^3) & Q(z^4)) -> A z^8 [] E z^7 <> (P(z^3) & Q(z^4)))) "
+        "& ((A z^10 [] E z^9 <> T & A z^13 [] A z^12 [] E z^11 <> T) "
+        "& A z^17 [] A z^16 [] A z^15 [] E z^14 <> T))")
