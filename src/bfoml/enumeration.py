@@ -89,15 +89,7 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
     elements), ("and", children) or ("or", children).  Sharing comes from a
     memo on (subformula, world, relevant bindings).
     """
-    fv_cache: dict[int, tuple[Var, ...]] = {}
     memo: dict[tuple[int, str, tuple[str, ...]], object] = {}
-
-    def fv(f: Formula) -> tuple[Var, ...]:
-        got = fv_cache.get(id(f))
-        if got is None:
-            got = tuple(sorted(free_vars(f), key=var_key))
-            fv_cache[id(f)] = got
-        return got
 
     def mk(kind: str, children: list[object]):
         identity = kind == "and"  # true is dropped from and-nodes, false from or-nodes
@@ -119,7 +111,7 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
         return (kind, tuple(out))
 
     def build(f: Formula, w: str, sigma: dict[Var, str]):
-        key = (id(f), w, tuple(sigma[v] for v in fv(f)))
+        key = (id(f), w, tuple(sigma[v] for v in free_vars(f)))
         got = memo.get(key)
         if got is not None or key in memo:
             return got

@@ -25,13 +25,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InternalSolverError, ModelFormatError, ParseError
+from .errors import FragmentError, InternalSolverError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
                        Predicate, Quant, TOP, Var, format_formula, free_vars,
-                       fresh_like, var_key)
+                       fresh_like, subformulas, var_key)
 from .kripke import KripkeModel
 from .parser import _Parser, parse_var_name, tokenize
 
+R_PRED = Predicate("R", 2)
 P_PRED = Predicate("P", 1)
 Q_PRED = Predicate("Q", 1)
 
@@ -42,6 +43,13 @@ class FOSentence:
 
     prefix: tuple[tuple[Quant, Var], ...]
     matrix: Formula
+
+    def __post_init__(self) -> None:
+        for g in subformulas(self.matrix):
+            if not (isinstance(g, (Not, And, Or, Implies))
+                    or (isinstance(g, Atom) and g.pred == R_PRED)):
+                raise FragmentError(
+                    f"an FO(R) matrix holds only R/2 atoms and !, &, |, ->; found {g}")
 
     def __str__(self) -> str:
         return format_fo(self)
@@ -137,7 +145,10 @@ class _FOParser(_Parser):
 
 def parse_fo(text: str) -> FOSentence:
     """Parse one prenex FO(R) sentence."""
-    return _FOParser(tokenize(text)).sentence()
+    try:
+        return _FOParser(tokenize(text)).sentence()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
 
 
 def fo_check(model: FOModel, sentence: FOSentence) -> bool:

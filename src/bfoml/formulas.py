@@ -66,15 +66,48 @@ class Fragment(Enum):
 
 
 class Formula:
-    """Base class of all formula nodes."""
+    """Base class of all formula nodes.
+
+    Nodes are immutable, so every derived attribute (printed key, free and
+    bound variables, modal depth, connective count, hash) is computed once,
+    from the children's values, and kept in the node's ``__dict__`` under an
+    underscore name; until then it reads as None from this class.  Kept
+    attributes are not dataclass fields, so ``==``, ``repr``, ``fields`` and
+    ``asdict`` never see them, and pickling rebuilds a node from its fields
+    alone: a ``str`` hash differs between processes.
+    """
 
     __slots__ = ()
+    _key = _free_vars = _bound_vars = _modal_depth = _connectives = _hash = None
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def _hash_once(self) -> int:
+        """The dataclass hash of the fields, which reuses the children's."""
+        if self._hash is not None:
+            return self._hash
+        fields = tuple(getattr(self, n) for n in self.__dataclass_fields__)
+        return _keep(self, "_hash", hash(fields))
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__dataclass_fields__)
+
+
+def _keep(f: Formula, name: str, value):
+    """Store a derived attribute on a node; the frozen dataclass refuses setattr."""
+    object.__setattr__(f, name, value)
+    return value
+
+
+def _node(cls):
+    """A frozen dataclass formula node whose hash is computed once."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula._hash_once
+    return cls
+
+
+@_node
 class Atom(Formula):
     pred: Predicate
     args: tuple[Var, ...]
@@ -85,34 +118,34 @@ class Atom(Formula):
                 f"atom {self.pred.name} given {len(self.args)} arguments, arity is {self.pred.arity}")
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     """Surface sugar; eliminated by to_nnf before any tableau work."""
 
@@ -120,7 +153,7 @@ class Implies(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Bundle(Formula):
     quant: Quant
     mod: Mod
@@ -140,28 +173,35 @@ def atom(name: str, *args: str | Var) -> Atom:
 
 def format_formula(f: Formula) -> str:
     """Render in the ASCII concrete syntax.  parse(format_formula(f)) == f."""
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Atom):
-        return f"{f.pred.name}({','.join(str(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return "!" + format_formula(f.body)
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({format_formula(f.left)} | {format_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({format_formula(f.left)} -> {format_formula(f.right)})"
-    if isinstance(f, Bundle):
-        return f"{f.quant.value} {f.var} {f.mod.value} {format_formula(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    return formula_key(f)
 
 
 def formula_key(f: Formula) -> str:
-    """Canonical sort key; the printed form encodes the AST injectively."""
-    return format_formula(f)
+    """Canonical sort key; the printed form encodes the AST injectively.
+
+    Rendered once per node, from the children's keys.
+    """
+    if f._key is not None:
+        return f._key
+    if isinstance(f, Top):
+        key = "T"
+    elif isinstance(f, Bot):
+        key = "F"
+    elif isinstance(f, Atom):
+        key = f"{f.pred.name}({','.join(str(a) for a in f.args)})"
+    elif isinstance(f, Not):
+        key = "!" + formula_key(f.body)
+    elif isinstance(f, And):
+        key = f"({formula_key(f.left)} & {formula_key(f.right)})"
+    elif isinstance(f, Or):
+        key = f"({formula_key(f.left)} | {formula_key(f.right)})"
+    elif isinstance(f, Implies):
+        key = f"({formula_key(f.left)} -> {formula_key(f.right)})"
+    elif isinstance(f, Bundle):
+        key = f"{f.quant.value} {f.var} {f.mod.value} {formula_key(f.body)}"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _keep(f, "_key", key)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -177,22 +217,39 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
+    """Computed once per node, from the children's sets."""
+    if f._free_vars is not None:
+        return f._free_vars
     if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Bundle):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+        fv = frozenset(f.args)
+    elif isinstance(f, (Top, Bot)):
+        fv = frozenset()
+    elif isinstance(f, Not):
+        fv = free_vars(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        fv = free_vars(f.left) | free_vars(f.right)
+    elif isinstance(f, Bundle):
+        fv = free_vars(f.body) - {f.var}
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _keep(f, "_free_vars", fv)
 
 
 def bound_vars(f: Formula) -> frozenset[Var]:
-    """Variables bound by some bundle in f."""
-    return frozenset(g.var for g in subformulas(f) if isinstance(g, Bundle))
+    """Variables bound by some bundle in f; computed once per node."""
+    if f._bound_vars is not None:
+        return f._bound_vars
+    if isinstance(f, (Atom, Top, Bot)):
+        bv = frozenset()
+    elif isinstance(f, Not):
+        bv = bound_vars(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        bv = bound_vars(f.left) | bound_vars(f.right)
+    elif isinstance(f, Bundle):
+        bv = bound_vars(f.body) | {f.var}
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _keep(f, "_bound_vars", bv)
 
 
 def all_vars(f: Formula) -> frozenset[Var]:
@@ -209,29 +266,27 @@ def all_vars(f: Formula) -> frozenset[Var]:
 def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
     """Return f with every free occurrence of target replaced by replacement.
 
-    Bound occurrences are untouched.  Raises CaptureError if a free target
-    occurrence sits under a binder of the replacement variable; on the clean
-    labels the tableaux produce this never happens, so a capture signals a
-    cleanliness violation upstream.
+    Bound occurrences are untouched, and so is every subtree in which target
+    is not free: it is returned itself, shared with f.  Raises CaptureError
+    if a free target occurrence sits under a binder of the replacement
+    variable; on the clean labels the tableaux produce this never happens,
+    so a capture signals a cleanliness violation upstream.
     """
     if replacement == target:
         return f
 
     def rec(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            if target not in g.args:
-                return g
-            return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
-        if isinstance(g, (Top, Bot)):
+        if target not in free_vars(g):
             return g
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
         if isinstance(g, Not):
             return Not(rec(g.body))
         if isinstance(g, (And, Or, Implies)):
             return type(g)(rec(g.left), rec(g.right))
         if isinstance(g, Bundle):
-            if g.var == target:
-                return g
-            if g.var == replacement and target in free_vars(g.body):
+            # target is free in g, so g does not bind it and it is free in the body.
+            if g.var == replacement:
                 raise CaptureError(
                     f"substituting {replacement} for {target} would capture it under "
                     f"the binder in {format_formula(g)}")
@@ -361,29 +416,40 @@ def cleanse(f: Formula) -> Formula:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum bundle-nesting depth."""
+    """Maximum bundle-nesting depth; computed once per node."""
+    if f._modal_depth is not None:
+        return f._modal_depth
     if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Bundle):
-        return 1 + modal_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+        depth = 0
+    elif isinstance(f, Not):
+        depth = modal_depth(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        depth = max(modal_depth(f.left), modal_depth(f.right))
+    elif isinstance(f, Bundle):
+        depth = 1 + modal_depth(f.body)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _keep(f, "_modal_depth", depth)
 
 
 def boolean_connective_count(f: Formula) -> int:
-    """Number of &, | and -> nodes; literal negation does not count."""
+    """Number of &, | and -> nodes; literal negation does not count.
+
+    Computed once per node.
+    """
+    if f._connectives is not None:
+        return f._connectives
     if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return boolean_connective_count(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + boolean_connective_count(f.left) + boolean_connective_count(f.right)
-    if isinstance(f, Bundle):
-        return boolean_connective_count(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+        count = 0
+    elif isinstance(f, Not):
+        count = boolean_connective_count(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        count = 1 + boolean_connective_count(f.left) + boolean_connective_count(f.right)
+    elif isinstance(f, Bundle):
+        count = boolean_connective_count(f.body)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _keep(f, "_connectives", count)
 
 
 def ast_size(f: Formula) -> int:

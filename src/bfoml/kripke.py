@@ -198,29 +198,39 @@ def validate(model: KripkeModel) -> ModelViolation | None:
 
 
 class _Evaluator:
-    """Memoized truth evaluation; one instance per top-level check call."""
+    """Truth evaluation with bundles memoized; one instance per top-level check.
+
+    A bundle's value is memoized on (world, node, values of its free
+    variables); booleans and literals are cheap to recompute.  Each world's
+    sorted local domain and successors are computed once, together with a
+    test that the local domain does not shrink along any edge out of the
+    world.  ``check`` tests that the assignment is relevant at the root, and
+    a bundle at w binds its variable to an element of w's local domain before
+    it moves to a successor v.  So, by induction over the evaluation, every
+    assignment met at w is relevant at w, and when no edge shrinks it is
+    relevant at every successor too: the edge test implies that every
+    assignment stays inside the local domain it is evaluated in.
+    """
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self._fv: dict[int, tuple[Var, ...]] = {}
+        self._frames: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._memo: dict[tuple[str, int, tuple[str, ...]], bool] = {}
 
-    def fv(self, f: Formula) -> tuple[Var, ...]:
-        got = self._fv.get(id(f))
+    def frame(self, world: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(sorted local domain, successors) of a world whose edges keep its domain."""
+        got = self._frames.get(world)
         if got is None:
-            got = tuple(sorted(free_vars(f), key=var_key))
-            self._fv[id(f)] = got
+            here = self.model.local[world]
+            succs = self.model.successors(world)
+            for v in succs:
+                if not here <= self.model.local[v]:
+                    raise InternalSolverError(
+                        f"local domain shrinks on the edge from {world} to {v}")
+            got = self._frames[world] = (tuple(sorted(here)), succs)
         return got
 
     def eval(self, world: str, sigma: dict[Var, str], f: Formula) -> bool:
-        key = (world, id(f), tuple(sigma[v] for v in self.fv(f)))
-        got = self._memo.get(key)
-        if got is None:
-            got = self._eval(world, sigma, f)
-            self._memo[key] = got
-        return got
-
-    def _eval(self, world: str, sigma: dict[Var, str], f: Formula) -> bool:
         if isinstance(f, Atom):
             t = tuple(sigma[v] for v in f.args)
             return t in self.model.facts(world, f.pred.name)
@@ -237,30 +247,26 @@ class _Evaluator:
         if isinstance(f, Implies):
             return (not self.eval(world, sigma, f.left)) or self.eval(world, sigma, f.right)
         if isinstance(f, Bundle):
-            return self._eval_bundle(world, sigma, f)
+            key = (world, id(f), tuple(sigma[v] for v in free_vars(f)))
+            got = self._memo.get(key)
+            if got is None:
+                got = self._memo[key] = self._eval_bundle(world, sigma, f)
+            return got
         raise TypeError(f"not a formula: {f!r}")
 
     def _eval_bundle(self, world: str, sigma: dict[Var, str], f: Bundle) -> bool:
-        elements = sorted(self.model.local[world])
-        succs = self.model.successors(world)
-        # Domain monotonicity keeps any assignment relevant in successors.
-        if not all(all(e in self.model.local[v] for e in sigma.values()) for v in succs):
-            raise InternalSolverError(
-                f"assignment left a local domain on an edge from {world}")
+        elements, succs = self.frame(world)
 
-        def body_at(v: str, d: str) -> bool:
+        def modal(d: str) -> bool:
+            """The body with the bundle's variable at d: at every successor
+            for a box, at some successor for a diamond."""
             child = dict(sigma)
             child[f.var] = d
-            return self.eval(v, child, f.body)
+            found = (self.eval(v, child, f.body) for v in succs)
+            return all(found) if f.mod is Mod.BOX else any(found)
 
-        if f.quant is Quant.EXISTS and f.mod is Mod.BOX:
-            return any(all(body_at(v, d) for v in succs) for d in elements)
-        if f.quant is Quant.EXISTS and f.mod is Mod.DIAMOND:
-            return any(any(body_at(v, d) for v in succs) for d in elements)
-        if f.quant is Quant.FORALL and f.mod is Mod.BOX:
-            return all(all(body_at(v, d) for v in succs) for d in elements)
-        # A _ <> : every element has some successor witnessing the body.
-        return all(any(body_at(v, d) for v in succs) for d in elements)
+        found = (modal(d) for d in elements)
+        return any(found) if f.quant is Quant.EXISTS else all(found)
 
 
 def check(model: KripkeModel, world: str, assignment: Assignment, formula: Formula) -> bool:

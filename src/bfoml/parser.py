@@ -170,7 +170,10 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse one formula; trailing input is an error."""
     parser = _Parser(tokenize(text))
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)

@@ -130,29 +130,27 @@ def label_measure(gamma: tuple[Formula, ...]) -> tuple[int, int]:
     return (rank, bools)
 
 
-def assert_measure_decreases(premise: tuple[Formula, ...],
-                             child: tuple[Formula, ...]) -> None:
-    if label_measure(child) >= label_measure(premise):
+def assert_measure_decreases(premise: tuple[int, int], child: tuple[Formula, ...]) -> None:
+    """The child label's measure lies strictly below the premise's measure."""
+    measure = label_measure(child)
+    if measure >= premise:
         raise InternalSolverError(
-            f"termination measure failed to decrease: {label_measure(premise)} -> "
-            f"{label_measure(child)}")
+            f"termination measure failed to decrease: {premise} -> {measure}")
 
 
 def assert_vars_only_free(gamma: tuple[Formula, ...], tracked: frozenset[Var]) -> None:
     """Tracked variables may occur in label formulas only in free positions."""
     for f in gamma:
-        clash = bound_vars(f) & tracked
-        if clash:
-            names = ", ".join(str(v) for v in sorted(clash, key=var_key))
+        if not bound_vars(f).isdisjoint(tracked):
+            names = ", ".join(str(v) for v in sorted(bound_vars(f) & tracked, key=var_key))
             raise InternalSolverError(
                 f"cleanliness violated: {names} bound inside label formula {f}")
 
 
 def assert_free_vars_tracked(gamma: tuple[Formula, ...], tracked: frozenset[Var]) -> None:
     for f in gamma:
-        loose = free_vars(f) - tracked
-        if loose:
-            names = ", ".join(str(v) for v in sorted(loose, key=var_key))
+        if not free_vars(f) <= tracked:
+            names = ", ".join(str(v) for v in sorted(free_vars(f) - tracked, key=var_key))
             raise InternalSolverError(
                 f"label formula {f} has untracked free variables {names}")
 
@@ -207,8 +205,9 @@ class Search:
                 self.emit(depth, label, "open leaf")
                 return TableauNode(label.world, label.gamma,
                                    self.local_domain(label.vars), ())
+            premise = label_measure(label.gamma)
             for child in app.children:
-                assert_measure_decreases(label.gamma, child.gamma)
+                assert_measure_decreases(premise, child.gamma)
             self.emit(depth, label, app.rule)
             if app.rule in ("and", "end"):
                 label = app.children[0]

@@ -256,3 +256,23 @@ def test_translate_sentence_full_text():
         "(E z^6 <> E z^5 <> (P(z^3) & Q(z^4)) -> A z^8 [] E z^7 <> (P(z^3) & Q(z^4)))) "
         "& ((A z^10 [] E z^9 <> T & A z^13 [] A z^12 [] E z^11 <> T) "
         "& A z^17 [] A z^16 [] A z^15 [] E z^14 <> T))")
+
+
+@pytest.mark.parametrize("matrix", [
+    "T", "P(x)", "R(x,x,x)", "E y [] R(x,y)", "(R(x,x) & !Q(x))",
+], ids=["top", "other-predicate", "ternary-R", "bundle", "nested-other-predicate"])
+def test_fo_sentence_rejects_a_hand_built_malformed_matrix(matrix):
+    from bfoml import FOSentence, FragmentError
+    with pytest.raises(FragmentError, match="R/2 atoms"):
+        FOSentence(((Quant.EXISTS, Var("x")),), parse(matrix))
+
+
+def test_fo_sentence_accepts_parsed_matrices():
+    from bfoml import FOSentence
+    s = parse_fo("ALL x . EX y . ((R(x,y) | !R(y,x)) -> (R(x,x) & R(y,y)))")
+    assert FOSentence(s.prefix, s.matrix) == s
+
+
+def test_parse_fo_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_fo("EX x . " + "!" * 3000 + "R(x,x)")

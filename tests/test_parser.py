@@ -71,3 +71,8 @@ def test_predicate_named_like_keyword():
 def test_quantifier_named_predicate():
     f = parse("E(x)")
     assert isinstance(f, Atom) and f.pred.name == "E"
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("!" * 3000 + "P(x)")
