@@ -22,7 +22,7 @@ from .formulas import (ast_size, classify, cleanse, exists_box_vars,
                        format_formula, free_vars, modal_depth, to_nnf, var_key)
 from .fuzz import run_eb_equivalence, run_oracle_agreement
 from .kripke import check, model_loads, validate
-from .limits import default_budget
+from .limits import resolve_budget
 from .parser import parse, parse_var_name
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
@@ -248,13 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Fill in the default budget and reject numbers that make no sense."""
-    if hasattr(args, "budget") and args.budget is None:
-        try:
-            args.budget = default_budget()
-        except ValueError as exc:
-            raise BfomlError(str(exc)) from None
-        if args.budget < 1:
-            raise BfomlError(f"BFOML_BUDGET must be at least 1, got {args.budget}")
+    if hasattr(args, "budget"):
+        args.budget = resolve_budget(args.budget)
     for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

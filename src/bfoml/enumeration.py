@@ -26,7 +26,7 @@ from .errors import InternalSolverError, ResourceLimitError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, cleanse, free_vars, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
-from .limits import default_budget
+from .limits import resolve_budget
 
 SEMANTICS = ("increasing", "constant")
 
@@ -213,8 +213,7 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
-    limit = default_budget() if budget is None else budget
-    tracker = _Budget(limit)
+    tracker = _Budget(resolve_budget(budget))
 
     psi = cleanse(to_nnf(formula))
     fv_names = [str(v) for v in sorted(free_vars(psi), key=var_key)]

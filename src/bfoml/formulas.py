@@ -68,42 +68,38 @@ class Fragment(Enum):
 class Formula:
     """Base class of all formula nodes.
 
-    Nodes are immutable, so every derived attribute (printed key, free and
-    bound variables, modal depth, connective count, hash) is computed once,
-    from the children's values, and kept in the node's ``__dict__`` under an
-    underscore name; until then it reads as None from this class.  Kept
-    attributes are not dataclass fields, so ``==``, ``repr``, ``fields`` and
-    ``asdict`` never see them, and pickling rebuilds a node from its fields
-    alone: a ``str`` hash differs between processes.
+    Nodes are immutable and built bottom-up, so each constructor derives the
+    node's attributes (printed key, free and bound variables, modal depth,
+    connective count) from its children's, and a node is complete once it is
+    built.  They are kept in the node's ``__dict__`` under underscore names
+    and are not dataclass fields, so ``==``, ``repr``, ``fields`` and
+    ``asdict`` never see them, and a pickle carries the fields alone.  A node
+    hashes by its key, which its fields determine, so equal nodes hash equal.
+    The cost is that a tree of nesting depth d holds O(d**2) key characters.
     """
 
     __slots__ = ()
-    _key = _free_vars = _bound_vars = _modal_depth = _connectives = _hash = None
+
+    def _derive(self, key: str, free: frozenset[Var], bound: frozenset[Var],
+                depth: int, connectives: int) -> None:
+        # The frozen dataclass refuses setattr; the instance dict does not.
+        self.__dict__.update(_key=key, _free_vars=free, _bound_vars=bound,
+                             _modal_depth=depth, _connectives=connectives)
 
     def __str__(self) -> str:
-        return format_formula(self)
+        return self._key
 
-    def _hash_once(self) -> int:
-        """The dataclass hash of the fields, which reuses the children's."""
-        if self._hash is not None:
-            return self._hash
-        fields = tuple(getattr(self, n) for n in self.__dataclass_fields__)
-        return _keep(self, "_hash", hash(fields))
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__dataclass_fields__)
 
 
-def _keep(f: Formula, name: str, value):
-    """Store a derived attribute on a node; the frozen dataclass refuses setattr."""
-    object.__setattr__(f, name, value)
-    return value
-
-
 def _node(cls):
-    """A frozen dataclass formula node whose hash is computed once."""
+    """A frozen dataclass formula node that hashes by its key."""
     cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula._hash_once
+    cls.__hash__ = Formula.__hash__
     return cls
 
 
@@ -116,41 +112,64 @@ class Atom(Formula):
         if len(self.args) != self.pred.arity:
             raise ValueError(
                 f"atom {self.pred.name} given {len(self.args)} arguments, arity is {self.pred.arity}")
+        key = f"{self.pred.name}({','.join(str(a) for a in self.args)})"
+        self._derive(key, frozenset(self.args), frozenset(), 0, 0)
 
 
 @_node
 class Top(Formula):
-    pass
+    def __post_init__(self) -> None:
+        self._derive("T", frozenset(), frozenset(), 0, 0)
 
 
 @_node
 class Bot(Formula):
-    pass
+    def __post_init__(self) -> None:
+        self._derive("F", frozenset(), frozenset(), 0, 0)
 
 
 @_node
 class Not(Formula):
     body: Formula
 
+    def __post_init__(self) -> None:
+        b = self.body
+        self._derive("!" + b._key, b._free_vars, b._bound_vars, b._modal_depth, b._connectives)
+
 
 @_node
-class And(Formula):
+class Binary(Formula):
+    """Shared constructor of the binary connectives.
+
+    Each subclass sets ``op``, its printed symbol, as a plain class attribute
+    and so not a field.
+    """
+
     left: Formula
     right: Formula
 
+    def __post_init__(self) -> None:
+        l, r = self.left, self.right
+        self._derive(f"({l._key} {self.op} {r._key})",
+                     l._free_vars | r._free_vars, l._bound_vars | r._bound_vars,
+                     max(l._modal_depth, r._modal_depth), 1 + l._connectives + r._connectives)
+
 
 @_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    op = "&"
 
 
 @_node
-class Implies(Formula):
+class Or(Binary):
+    op = "|"
+
+
+@_node
+class Implies(Binary):
     """Surface sugar; eliminated by to_nnf before any tableau work."""
 
-    left: Formula
-    right: Formula
+    op = "->"
 
 
 @_node
@@ -159,6 +178,12 @@ class Bundle(Formula):
     mod: Mod
     var: Var
     body: Formula
+
+    def __post_init__(self) -> None:
+        b = self.body
+        self._derive(f"{self.quant.value} {self.var} {self.mod.value} {b._key}",
+                     b._free_vars - {self.var}, b._bound_vars | {self.var},
+                     1 + b._modal_depth, b._connectives)
 
 
 TOP = Top()
@@ -173,35 +198,12 @@ def atom(name: str, *args: str | Var) -> Atom:
 
 def format_formula(f: Formula) -> str:
     """Render in the ASCII concrete syntax.  parse(format_formula(f)) == f."""
-    return formula_key(f)
+    return f._key
 
 
 def formula_key(f: Formula) -> str:
-    """Canonical sort key; the printed form encodes the AST injectively.
-
-    Rendered once per node, from the children's keys.
-    """
-    if f._key is not None:
-        return f._key
-    if isinstance(f, Top):
-        key = "T"
-    elif isinstance(f, Bot):
-        key = "F"
-    elif isinstance(f, Atom):
-        key = f"{f.pred.name}({','.join(str(a) for a in f.args)})"
-    elif isinstance(f, Not):
-        key = "!" + formula_key(f.body)
-    elif isinstance(f, And):
-        key = f"({formula_key(f.left)} & {formula_key(f.right)})"
-    elif isinstance(f, Or):
-        key = f"({formula_key(f.left)} | {formula_key(f.right)})"
-    elif isinstance(f, Implies):
-        key = f"({formula_key(f.left)} -> {formula_key(f.right)})"
-    elif isinstance(f, Bundle):
-        key = f"{f.quant.value} {f.var} {f.mod.value} {formula_key(f.body)}"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return _keep(f, "_key", key)
+    """Canonical sort key; the printed form encodes the AST injectively."""
+    return f._key
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -209,7 +211,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     if isinstance(f, Not):
         yield from subformulas(f.body)
-    elif isinstance(f, (And, Or, Implies)):
+    elif isinstance(f, Binary):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
     elif isinstance(f, Bundle):
@@ -217,50 +219,21 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
-    """Computed once per node, from the children's sets."""
-    if f._free_vars is not None:
-        return f._free_vars
-    if isinstance(f, Atom):
-        fv = frozenset(f.args)
-    elif isinstance(f, (Top, Bot)):
-        fv = frozenset()
-    elif isinstance(f, Not):
-        fv = free_vars(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        fv = free_vars(f.left) | free_vars(f.right)
-    elif isinstance(f, Bundle):
-        fv = free_vars(f.body) - {f.var}
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return _keep(f, "_free_vars", fv)
+    """Variables with a free occurrence in f."""
+    return f._free_vars
 
 
 def bound_vars(f: Formula) -> frozenset[Var]:
-    """Variables bound by some bundle in f; computed once per node."""
-    if f._bound_vars is not None:
-        return f._bound_vars
-    if isinstance(f, (Atom, Top, Bot)):
-        bv = frozenset()
-    elif isinstance(f, Not):
-        bv = bound_vars(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        bv = bound_vars(f.left) | bound_vars(f.right)
-    elif isinstance(f, Bundle):
-        bv = bound_vars(f.body) | {f.var}
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return _keep(f, "_bound_vars", bv)
+    """Variables bound by some bundle in f."""
+    return f._bound_vars
 
 
 def all_vars(f: Formula) -> frozenset[Var]:
-    """Every variable occurring in f, free or bound, including binder positions."""
-    out: set[Var] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.update(g.args)
-        elif isinstance(g, Bundle):
-            out.add(g.var)
-    return frozenset(out)
+    """Every variable occurring in f, free or bound, including binder positions.
+
+    Every atom argument is free in f or bound by an enclosing binder.
+    """
+    return f._free_vars | f._bound_vars
 
 
 def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
@@ -282,7 +255,7 @@ def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
             return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
         if isinstance(g, Not):
             return Not(rec(g.body))
-        if isinstance(g, (And, Or, Implies)):
+        if isinstance(g, Binary):
             return type(g)(rec(g.left), rec(g.right))
         if isinstance(g, Bundle):
             # target is free in g, so g does not bind it and it is free in the body.
@@ -397,7 +370,7 @@ def cleanse(f: Formula) -> Formula:
             return g
         if isinstance(g, Not):
             return Not(rec(g.body, env))
-        if isinstance(g, (And, Or, Implies)):
+        if isinstance(g, Binary):
             return type(g)(rec(g.left, env), rec(g.right, env))
         if isinstance(g, Bundle):
             v = g.var
@@ -416,40 +389,13 @@ def cleanse(f: Formula) -> Formula:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum bundle-nesting depth; computed once per node."""
-    if f._modal_depth is not None:
-        return f._modal_depth
-    if isinstance(f, (Atom, Top, Bot)):
-        depth = 0
-    elif isinstance(f, Not):
-        depth = modal_depth(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        depth = max(modal_depth(f.left), modal_depth(f.right))
-    elif isinstance(f, Bundle):
-        depth = 1 + modal_depth(f.body)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return _keep(f, "_modal_depth", depth)
+    """Maximum bundle-nesting depth."""
+    return f._modal_depth
 
 
 def boolean_connective_count(f: Formula) -> int:
-    """Number of &, | and -> nodes; literal negation does not count.
-
-    Computed once per node.
-    """
-    if f._connectives is not None:
-        return f._connectives
-    if isinstance(f, (Atom, Top, Bot)):
-        count = 0
-    elif isinstance(f, Not):
-        count = boolean_connective_count(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        count = 1 + boolean_connective_count(f.left) + boolean_connective_count(f.right)
-    elif isinstance(f, Bundle):
-        count = boolean_connective_count(f.body)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return _keep(f, "_connectives", count)
+    """Number of &, | and -> nodes; literal negation does not count."""
+    return f._connectives
 
 
 def ast_size(f: Formula) -> int:
@@ -460,7 +406,7 @@ def ast_size(f: Formula) -> int:
         return 1
     if isinstance(f, Not):
         return 1 + ast_size(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, Binary):
         return 1 + ast_size(f.left) + ast_size(f.right)
     if isinstance(f, Bundle):
         return 2 + ast_size(f.body)

@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import os
 
+from .errors import BfomlError
+
 DEFAULT_BUDGET = 2_000_000
 
 
-def default_budget() -> int:
-    """Budget taken from BFOML_BUDGET when set, else the built-in default."""
+def resolve_budget(budget: int | None) -> int:
+    """An explicit budget as given; else BFOML_BUDGET when set, else the default.
+
+    A BFOML_BUDGET that is not an integer of at least 1 raises BfomlError.
+    """
+    if budget is not None:
+        return budget
     raw = os.environ.get("BFOML_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BFOML_BUDGET must be an integer, got {raw!r}") from exc
+        value = int(raw)
+    except ValueError:
+        raise BfomlError(f"BFOML_BUDGET must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise BfomlError(f"BFOML_BUDGET must be at least 1, got {value}")
+    return value

@@ -14,7 +14,7 @@ from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, boolean_connective_count, bound_vars,
                        formula_key, free_vars, modal_depth, var_key)
 from .kripke import KripkeModel
-from .limits import default_budget
+from .limits import resolve_budget
 from .results import DecisionResult, TableauNode, Verdict
 
 
@@ -167,7 +167,7 @@ class Search:
     letter: str
 
     def __init__(self, budget: int | None, tracing: bool):
-        self.remaining = default_budget() if budget is None else budget
+        self.remaining = resolve_budget(budget)
         self.nodes = 0
         self.max_depth = 0
         self.trace: list[str] | None = [] if tracing else None
