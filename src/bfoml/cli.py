@@ -247,15 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Fill in the default budget and reject numbers that make no sense."""
-    if hasattr(args, "budget"):
-        args.budget = resolve_budget(args.budget)
+    """Reject numbers that make no sense, then fill in the default budget."""
     for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise BfomlError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     if getattr(args, "count", 0) < 0:
         raise BfomlError(f"--count must not be negative, got {args.count}")
+    if hasattr(args, "budget"):
+        args.budget = resolve_budget(args.budget)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import InternalSolverError, ResourceLimitError
+from .errors import BfomlError, InternalSolverError, ResourceLimitError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, cleanse, free_vars, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
@@ -207,12 +207,16 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
 
     The formula is normalized with cleanse(to_nnf(.)) and evaluated at world
     "w0" under the identity assignment on its free variables, whose names
-    therefore become domain elements.  Search order: number of worlds, then
+    therefore become domain elements.  A max_worlds, max_domain or budget
+    below 1 raises BfomlError.  Search order: number of worlds, then
     domain size, then edge sets, then local-domain maps (increasing semantics
     only; constant semantics fixes them), then interpretations.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+    for name, bound in (("max_worlds", max_worlds), ("max_domain", max_domain)):
+        if bound < 1:
+            raise BfomlError(f"{name} must be at least 1, got {bound}")
     tracker = _Budget(resolve_budget(budget))
 
     psi = cleanse(to_nnf(formula))

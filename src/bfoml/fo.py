@@ -27,8 +27,8 @@ from typing import Iterator
 
 from .errors import FragmentError, InternalSolverError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
-                       Predicate, Quant, TOP, Var, format_formula, free_vars,
-                       fresh_like, subformulas, var_key)
+                       Predicate, Quant, TOP, Var, _rebuild, format_formula,
+                       free_vars, fresh_like, subformulas, var_key)
 from .kripke import KripkeModel
 from .parser import _Parser, parse_var_name, tokenize
 
@@ -202,15 +202,11 @@ def _fresh_stream(used: set[Var]) -> Iterator[Var]:
 
 
 def _desugar(m: Formula) -> Formula:
-    if isinstance(m, Atom):
-        return m
-    if isinstance(m, Not):
-        return Not(_desugar(m.body))
-    if isinstance(m, And):
-        return And(_desugar(m.left), _desugar(m.right))
     if isinstance(m, Or):
         return Not(And(Not(_desugar(m.left)), Not(_desugar(m.right))))
-    return Not(And(_desugar(m.left), Not(_desugar(m.right))))
+    if isinstance(m, Implies):
+        return Not(And(_desugar(m.left), Not(_desugar(m.right))))
+    return _rebuild(m, _desugar)
 
 
 def _translate_matrix(m: Formula, fresh: Iterator[Var]) -> Formula:

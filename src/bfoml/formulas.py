@@ -58,7 +58,7 @@ class Mod(Enum):
 
 
 class Fragment(Enum):
-    """Which bundle pair a formula uses, judged after conversion to NNF."""
+    """Which bundle pair a formula uses in NNF."""
 
     EXISTS_BOX = "exists-box"
     EXISTS_DIAMOND = "exists-diamond"
@@ -207,15 +207,17 @@ def formula_key(f: Formula) -> str:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformula occurrences of f, including f itself, preorder."""
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, Binary):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Bundle):
-        yield from subformulas(f.body)
+    """All subformula occurrences of f, including f itself, preorder; iterative."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Binary):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Not, Bundle)):
+            stack.append(g.body)
+        elif not isinstance(g, (Atom, Top, Bot)):
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
@@ -236,6 +238,22 @@ def all_vars(f: Formula) -> frozenset[Var]:
     return f._free_vars | f._bound_vars
 
 
+def _rebuild(g: Formula, fn) -> Formula:
+    """g over fn of each child, left to right; g itself if no child changes."""
+    if isinstance(g, Binary):
+        left, right = fn(g.left), fn(g.right)
+        return g if left is g.left and right is g.right else type(g)(left, right)
+    if isinstance(g, Not):
+        body = fn(g.body)
+        return g if body is g.body else Not(body)
+    if isinstance(g, Bundle):
+        body = fn(g.body)
+        return g if body is g.body else Bundle(g.quant, g.mod, g.var, body)
+    if isinstance(g, (Atom, Top, Bot)):
+        return g
+    raise TypeError(f"not a formula: {g!r}")
+
+
 def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
     """Return f with every free occurrence of target replaced by replacement.
 
@@ -253,24 +271,19 @@ def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
             return g
         if isinstance(g, Atom):
             return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, Binary):
-            return type(g)(rec(g.left), rec(g.right))
-        if isinstance(g, Bundle):
-            # target is free in g, so g does not bind it and it is free in the body.
-            if g.var == replacement:
-                raise CaptureError(
-                    f"substituting {replacement} for {target} would capture it under "
-                    f"the binder in {format_formula(g)}")
-            return Bundle(g.quant, g.mod, g.var, rec(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+        # target is free in a bundle g, so g does not bind it and it is free in the body.
+        if isinstance(g, Bundle) and g.var == replacement:
+            raise CaptureError(
+                f"substituting {replacement} for {target} would capture it under "
+                f"the binder in {format_formula(g)}")
+        return _rebuild(g, rec)
 
     return rec(f)
 
 
 _DUAL_QUANT = {Quant.EXISTS: Quant.FORALL, Quant.FORALL: Quant.EXISTS}
 _DUAL_MOD = {Mod.BOX: Mod.DIAMOND, Mod.DIAMOND: Mod.BOX}
+_DUAL_BINARY = {And: Or, Or: And}
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -278,37 +291,32 @@ def to_nnf(f: Formula) -> Formula:
 
     Equivalences used: De Morgan, double negation, !T = F, !F = T, and the
     bundle dualities (negating a bundle flips both the quantifier and the
-    modality).  Idempotent; semantic equivalence is checked against the model
+    modality).  Every subtree already in NNF is returned as it is, shared
+    with f.  Idempotent; semantic equivalence is checked against the model
     checker in the test suite.
     """
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    if isinstance(f, Bundle):
-        return Bundle(f.quant, f.mod, f.var, to_nnf(f.body))
+    return _nnf(f, False)
+
+
+def _nnf(f: Formula, negated: bool) -> Formula:
+    """NNF of f, or of !f when negated: one pass that carries the polarity."""
     if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Atom):
+        if isinstance(f.body, Atom) and not negated:
             return f
-        if isinstance(g, Top):
-            return BOT
-        if isinstance(g, Bot):
-            return TOP
-        if isinstance(g, Not):
-            return to_nnf(g.body)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Implies):
-            return And(to_nnf(g.left), to_nnf(Not(g.right)))
-        if isinstance(g, Bundle):
-            return Bundle(_DUAL_QUANT[g.quant], _DUAL_MOD[g.mod], g.var, to_nnf(Not(g.body)))
+        return _nnf(f.body, not negated)
+    if isinstance(f, Implies):
+        # (a -> b) is (!a | b); its negation is (a & !b).
+        return (And if negated else Or)(_nnf(f.left, not negated), _nnf(f.right, negated))
+    if not negated:
+        return _rebuild(f, to_nnf)
+    if isinstance(f, Atom):
+        return Not(f)
+    if isinstance(f, (Top, Bot)):
+        return BOT if isinstance(f, Top) else TOP
+    if isinstance(f, Binary):
+        return _DUAL_BINARY[type(f)](_nnf(f.left, True), _nnf(f.right, True))
+    if isinstance(f, Bundle):
+        return Bundle(_DUAL_QUANT[f.quant], _DUAL_MOD[f.mod], f.var, _nnf(f.body, True))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -355,7 +363,10 @@ def cleanse(f: Formula) -> Formula:
     Free variables are never renamed.  Binders are visited left to right and
     kept when possible; a conflicting binder is replaced by the smallest-index
     unused variant of its own name, so the output is deterministic and
-    cleanse is idempotent.
+    cleanse is idempotent.  Every subtree with nothing to rename is returned
+    as it is, shared with f, except an atom whose bound argument is not yet
+    its binder's own Var object; so an output of cleanse comes back as the
+    same object.
     """
     free = free_vars(f)
     used = set(all_vars(f))
@@ -363,15 +374,9 @@ def cleanse(f: Formula) -> Formula:
 
     def rec(g: Formula, env: dict[Var, Var]) -> Formula:
         if isinstance(g, Atom):
-            if not any(a in env for a in g.args):
-                return g
-            return Atom(g.pred, tuple(env.get(a, a) for a in g.args))
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.body, env))
-        if isinstance(g, Binary):
-            return type(g)(rec(g.left, env), rec(g.right, env))
+            # By identity: bound arguments take their binder's Var, so lookups skip Var.__eq__.
+            args = tuple(env.get(a, a) for a in g.args)
+            return g if all(a is b for a, b in zip(args, g.args)) else Atom(g.pred, args)
         if isinstance(g, Bundle):
             v = g.var
             if v in free or v in taken:
@@ -380,10 +385,9 @@ def cleanse(f: Formula) -> Formula:
             else:
                 nv = v
             taken.add(nv)
-            child_env = dict(env)
-            child_env[v] = nv
-            return Bundle(g.quant, g.mod, nv, rec(g.body, child_env))
-        raise TypeError(f"not a formula: {g!r}")
+            body = rec(g.body, {**env, v: nv})
+            return g if nv is v and body is g.body else Bundle(g.quant, g.mod, nv, body)
+        return _rebuild(g, lambda h: rec(h, env))
 
     return rec(f, {})
 
@@ -400,17 +404,8 @@ def boolean_connective_count(f: Formula) -> int:
 
 def ast_size(f: Formula) -> int:
     """Node count including variable occurrences and binder positions."""
-    if isinstance(f, Atom):
-        return 1 + len(f.args)
-    if isinstance(f, (Top, Bot)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + ast_size(f.body)
-    if isinstance(f, Binary):
-        return 1 + ast_size(f.left) + ast_size(f.right)
-    if isinstance(f, Bundle):
-        return 2 + ast_size(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return sum(1 + len(g.args) if isinstance(g, Atom) else 2 if isinstance(g, Bundle) else 1
+               for g in subformulas(f))
 
 
 def exists_box_vars(f: Formula) -> frozenset[Var]:
@@ -425,12 +420,15 @@ _ED_KINDS = {(Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)}
 
 
 def classify(f: Formula) -> Fragment:
-    """Fragment of the NNF of f.
+    """Fragment of the NNF of f, judged on f itself.
 
-    A bundle-free formula lies in both single-bundle fragments; it is reported
-    as EXISTS_BOX so that the constant-domain procedure accepts it.
+    Negating a bundle swaps E [] with A <> and E <> with A []; each pair lies
+    inside one fragment, and NNF neither drops nor copies a bundle, so f and
+    to_nnf(f) use the same fragments.  A bundle-free formula lies in both
+    single-bundle fragments; it is reported as EXISTS_BOX so that the
+    constant-domain procedure accepts it.
     """
-    kinds = {(g.quant, g.mod) for g in subformulas(to_nnf(f)) if isinstance(g, Bundle)}
+    kinds = {(g.quant, g.mod) for g in subformulas(f) if isinstance(g, Bundle)}
     if kinds <= _EB_KINDS:
         return Fragment.EXISTS_BOX
     if kinds <= _ED_KINDS:

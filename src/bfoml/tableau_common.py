@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InternalSolverError, ResourceLimitError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, boolean_connective_count, bound_vars,
-                       formula_key, free_vars, modal_depth, var_key)
+                       formula_key, free_vars, is_literal, modal_depth, var_key)
 from .kripke import KripkeModel
 from .limits import resolve_budget
 from .results import DecisionResult, TableauNode, Verdict
@@ -88,7 +88,7 @@ def partition(gamma: tuple[Formula, ...]) -> Partition:
             groups["ors"].append(f)
         elif isinstance(f, Bundle):
             groups[_BUNDLE_GROUP[f.quant, f.mod]].append(f)
-        elif isinstance(f, (Atom, Bot)) or (isinstance(f, Not) and isinstance(f.body, Atom)):
+        elif isinstance(f, Bot) or is_literal(f):
             groups["literals"].append(f)
         else:
             raise InternalSolverError(

@@ -4,7 +4,8 @@ import pytest
 
 from bfoml import (CaptureError, Fragment, Var, ast_size, atom, classify,
                    cleanse, exists_box_vars, format_formula, free_vars,
-                   is_clean, is_nnf, modal_depth, parse, substitute, to_nnf)
+                   is_clean, is_nnf, modal_depth, parse, subformulas, substitute,
+                   to_nnf)
 from bfoml.formulas import boolean_connective_count
 from bfoml.fuzz import FormulaGenerator
 
@@ -160,3 +161,12 @@ def test_var_rendering_with_index():
     assert str(Var("x")) == "x"
     assert str(Var("x", 3)) == "x^3"
     assert parse("P(x^3)") == atom("P", Var("x", 3))
+
+
+@pytest.mark.parametrize("walk", [
+    to_nnf, classify, is_nnf, is_clean, exists_box_vars, ast_size,
+    lambda f: list(subformulas(f)),
+])
+def test_a_non_formula_is_a_type_error(walk):
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        walk(42)

@@ -8,10 +8,11 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from bfoml import (And, Atom, Bundle, CaptureError, Implies, Mod, Not, Or,
-                   Predicate, Quant, Var, cleanse, free_vars, parse, substitute,
-                   to_nnf)
+from bfoml import (And, Atom, Bundle, CaptureError, Fragment, Implies, Mod, Not, Or,
+                   Predicate, Quant, Var, check, classify, cleanse, free_vars, parse,
+                   subformulas, substitute, to_nnf)
 from bfoml.formulas import BOT, TOP, var_key
+from bfoml.fuzz import ModelGenerator
 from test_formula_cache import assert_kept_attributes_match
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -59,3 +60,41 @@ def test_pickle_round_trip_gives_an_equal_node(f):
     assert loaded == f
     assert hash(loaded) == hash(f)
     assert str(loaded) == str(f)
+
+
+@DERANDOMIZED
+@given(FORMULAS, st.integers(0, 2**16))
+def test_nnf_and_cleanse_agree_with_the_formula_under_check(f, seed):
+    models = ModelGenerator(seed)  # P/1 and Q/2, as in FORMULAS
+    for _ in range(3):
+        m = models.model()
+        for world in m.worlds:
+            sigma = models.assignment(m, world, free_vars(f))
+            value = check(m, world, sigma, f)
+            assert check(m, world, sigma, to_nnf(f)) == value
+            assert check(m, world, sigma, cleanse(f)) == value
+
+
+def reference_classify(f):
+    """The fragment by definition: read off the bundles of the NNF of f."""
+    kinds = {(g.quant, g.mod) for g in subformulas(to_nnf(f)) if isinstance(g, Bundle)}
+    if kinds <= {(Quant.EXISTS, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)}:
+        return Fragment.EXISTS_BOX
+    if kinds <= {(Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)}:
+        return Fragment.EXISTS_DIAMOND
+    return Fragment.FULL
+
+
+@DERANDOMIZED
+@given(FORMULAS)
+def test_classify_judges_the_input_as_its_nnf(f):
+    assert classify(f) is reference_classify(f)
+    assert classify(Not(f)) is reference_classify(Not(f))
+
+
+@DERANDOMIZED
+@given(FORMULAS)
+def test_normalizing_a_clean_nnf_formula_returns_it_unchanged(f):
+    g = cleanse(to_nnf(f))
+    assert to_nnf(g) is g
+    assert cleanse(g) is g

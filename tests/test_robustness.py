@@ -1,8 +1,18 @@
 """Formulas built in code, too deep for a recursive walk."""
 
-from bfoml.formulas import (Atom, Bundle, Mod, Not, Predicate, Quant, Var,
-                            all_vars, bound_vars, boolean_connective_count,
-                            free_vars, modal_depth)
+from bfoml.fo import FOSentence, R_PRED
+from bfoml.formulas import (Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
+                            all_vars, ast_size, bound_vars, boolean_connective_count,
+                            classify, exists_box_vars, free_vars, is_clean, modal_depth,
+                            subformulas)
+
+
+def deep_negations(depth=3000):
+    """E y [] !!...!P(x) with depth nested negations, built in code."""
+    f = Atom(Predicate("P", 1), (Var("x"),))
+    for _ in range(depth):
+        f = Not(f)
+    return Bundle(Quant.EXISTS, Mod.BOX, Var("y"), f)
 
 
 def test_deep_formula_built_in_code_answers_without_recursion():
@@ -19,3 +29,20 @@ def test_deep_formula_built_in_code_answers_without_recursion():
     assert all_vars(f) == {Var("x"), Var("y")}
     assert modal_depth(f) == 1
     assert boolean_connective_count(f) == 0
+
+
+def test_deep_formula_built_in_code_walks_without_recursion():
+    f = deep_negations()
+    assert classify(f) is Fragment.EXISTS_BOX
+    assert is_clean(f)
+    assert exists_box_vars(f) == {Var("y")}
+    assert ast_size(f) == 2 + 3000 + 2
+    assert len(list(subformulas(f))) == 3002
+
+
+def test_deep_fo_matrix_built_in_code_constructs():
+    matrix = Atom(R_PRED, (Var("x"), Var("x")))
+    for _ in range(3000):
+        matrix = Not(matrix)
+    sentence = FOSentence(((Quant.EXISTS, Var("x")),), matrix)
+    assert sentence.matrix is matrix
