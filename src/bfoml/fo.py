@@ -27,8 +27,9 @@ from typing import Iterator
 
 from .errors import FragmentError, InternalSolverError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
-                       Predicate, Quant, TOP, Var, _rebuild, format_formula,
-                       free_vars, fresh_like, subformulas, var_key)
+                       Predicate, Quant, TOP, Var, _children, _rebuild,
+                       format_formula, free_vars, fresh_like, subformulas,
+                       var_key)
 from .kripke import KripkeModel
 from .parser import _Parser, parse_var_name, tokenize
 
@@ -206,7 +207,7 @@ def _desugar(m: Formula) -> Formula:
         return Not(And(Not(_desugar(m.left)), Not(_desugar(m.right))))
     if isinstance(m, Implies):
         return Not(And(_desugar(m.left), Not(_desugar(m.right))))
-    return _rebuild(m, _desugar)
+    return _rebuild(m, tuple(map(_desugar, _children(m))))
 
 
 def _translate_matrix(m: Formula, fresh: Iterator[Var]) -> Formula:

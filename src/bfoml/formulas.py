@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterator
 
 from .errors import CaptureError
@@ -206,18 +207,24 @@ def formula_key(f: Formula) -> str:
     return f._key
 
 
+def _children(g: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of g, left to right."""
+    if isinstance(g, Binary):
+        return (g.left, g.right)
+    if isinstance(g, (Not, Bundle)):
+        return (g.body,)
+    if isinstance(g, (Atom, Top, Bot)):
+        return ()
+    raise TypeError(f"not a formula: {g!r}")
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformula occurrences of f, including f itself, preorder; iterative."""
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Binary):
-            stack += (g.right, g.left)
-        elif isinstance(g, (Not, Bundle)):
-            stack.append(g.body)
-        elif not isinstance(g, (Atom, Top, Bot)):
-            raise TypeError(f"not a formula: {g!r}")
         yield g
+        stack += reversed(_children(g))
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
@@ -238,20 +245,17 @@ def all_vars(f: Formula) -> frozenset[Var]:
     return f._free_vars | f._bound_vars
 
 
-def _rebuild(g: Formula, fn) -> Formula:
-    """g over fn of each child, left to right; g itself if no child changes."""
-    if isinstance(g, Binary):
-        left, right = fn(g.left), fn(g.right)
-        return g if left is g.left and right is g.right else type(g)(left, right)
-    if isinstance(g, Not):
-        body = fn(g.body)
-        return g if body is g.body else Not(body)
-    if isinstance(g, Bundle):
-        body = fn(g.body)
-        return g if body is g.body else Bundle(g.quant, g.mod, g.var, body)
-    if isinstance(g, (Atom, Top, Bot)):
+def _rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    """g over the new children kids; g itself if each is g's own child.
+
+    Callers pass tuple(map(rec, _children(g))): recursing from their own
+    frame, a rewrite takes one frame per nesting level, as the parser does.
+    """
+    if all(k is c for k, c in zip(kids, _children(g))):
         return g
-    raise TypeError(f"not a formula: {g!r}")
+    if isinstance(g, Bundle):
+        return Bundle(g.quant, g.mod, g.var, *kids)
+    return type(g)(*kids)
 
 
 def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
@@ -276,7 +280,7 @@ def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
             raise CaptureError(
                 f"substituting {replacement} for {target} would capture it under "
                 f"the binder in {format_formula(g)}")
-        return _rebuild(g, rec)
+        return _rebuild(g, tuple(map(rec, _children(g))))
 
     return rec(f)
 
@@ -307,17 +311,16 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     if isinstance(f, Implies):
         # (a -> b) is (!a | b); its negation is (a & !b).
         return (And if negated else Or)(_nnf(f.left, not negated), _nnf(f.right, negated))
+    kids = tuple(map(_nnf, _children(f), repeat(negated)))
     if not negated:
-        return _rebuild(f, to_nnf)
+        return _rebuild(f, kids)
     if isinstance(f, Atom):
         return Not(f)
-    if isinstance(f, (Top, Bot)):
-        return BOT if isinstance(f, Top) else TOP
     if isinstance(f, Binary):
-        return _DUAL_BINARY[type(f)](_nnf(f.left, True), _nnf(f.right, True))
+        return _DUAL_BINARY[type(f)](*kids)
     if isinstance(f, Bundle):
-        return Bundle(_DUAL_QUANT[f.quant], _DUAL_MOD[f.mod], f.var, _nnf(f.body, True))
-    raise TypeError(f"not a formula: {f!r}")
+        return Bundle(_DUAL_QUANT[f.quant], _DUAL_MOD[f.mod], f.var, *kids)
+    return BOT if isinstance(f, Top) else TOP
 
 
 def is_nnf(f: Formula) -> bool:
@@ -387,7 +390,7 @@ def cleanse(f: Formula) -> Formula:
             taken.add(nv)
             body = rec(g.body, {**env, v: nv})
             return g if nv is v and body is g.body else Bundle(g.quant, g.mod, nv, body)
-        return _rebuild(g, lambda h: rec(h, env))
+        return _rebuild(g, tuple(map(rec, _children(g), repeat(env))))
 
     return rec(f, {})
 
@@ -404,8 +407,14 @@ def boolean_connective_count(f: Formula) -> int:
 
 def ast_size(f: Formula) -> int:
     """Node count including variable occurrences and binder positions."""
-    return sum(1 + len(g.args) if isinstance(g, Atom) else 2 if isinstance(g, Bundle) else 1
-               for g in subformulas(f))
+    size = 0
+    for g in subformulas(f):
+        size += 1
+        if isinstance(g, Atom):
+            size += len(g.args)
+        elif isinstance(g, Bundle):
+            size += 1
+    return size
 
 
 def exists_box_vars(f: Formula) -> frozenset[Var]:

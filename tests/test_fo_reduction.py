@@ -267,6 +267,12 @@ def test_fo_sentence_rejects_a_hand_built_malformed_matrix(matrix):
         FOSentence(((Quant.EXISTS, Var("x")),), parse(matrix))
 
 
+def test_fo_sentence_rejects_a_matrix_that_is_not_a_formula():
+    from bfoml import FOSentence, FragmentError
+    with pytest.raises(FragmentError, match="R/2 atoms"):
+        FOSentence(((Quant.EXISTS, Var("x")),), 42)
+
+
 def test_fo_sentence_accepts_parsed_matrices():
     from bfoml import FOSentence
     s = parse_fo("ALL x . EX y . ((R(x,y) | !R(y,x)) -> (R(x,x) & R(y,y)))")
