@@ -9,10 +9,11 @@ together with its witness-model construction.
 """
 
 from .enumeration import EnumerationResult, enumerate_sat
-from .errors import (ArityMismatchError, BfomlError, CaptureError,
-                     FragmentError, InternalSolverError, InvalidModelError,
-                     IrrelevantAssignmentError, ModelFormatError, ParseError,
-                     ResourceLimitError, UnboundVariableError, UnknownWorldError)
+from .errors import (ArgumentError, ArityMismatchError, BfomlError,
+                     CaptureError, FragmentError, InternalSolverError,
+                     InvalidModelError, IrrelevantAssignmentError,
+                     ModelFormatError, ParseError, ResourceLimitError,
+                     UnboundVariableError, UnknownWorldError)
 from .fo import (FOModel, FOSentence, build_witness_model, fo_check,
                  fo_enumerate_sat, fo_satisfying_models, format_fo, parse_fo,
                  translate_qf, translate_sentence)
@@ -32,10 +33,10 @@ from .tableau_increasing import decide_increasing
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "ArityMismatchError", "Assignment", "Atom", "BfomlError", "Bot",
-    "Bundle", "CaptureError", "DecisionResult", "EnumerationResult",
-    "FOModel", "FOSentence", "Formula", "Fragment", "FragmentError",
-    "Implies", "InternalSolverError", "InvalidModelError",
+    "And", "ArgumentError", "ArityMismatchError", "Assignment", "Atom",
+    "BfomlError", "Bot", "Bundle", "CaptureError", "DecisionResult",
+    "EnumerationResult", "FOModel", "FOSentence", "Formula", "Fragment",
+    "FragmentError", "Implies", "InternalSolverError", "InvalidModelError",
     "IrrelevantAssignmentError", "KripkeModel", "Mod", "ModelFormatError",
     "ModelViolation", "Not", "Or", "ParseError", "Predicate", "Quant",
     "ResourceLimitError", "TableauNode", "Top", "UnboundVariableError",

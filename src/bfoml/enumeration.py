@@ -15,14 +15,26 @@ that are isomorphic under a permutation of the non-root worlds are visited
 once.  Within the bounds the search is exhaustive up to these reductions, so
 ``None`` means no bounded model exists.  A work budget caps runtime and
 raises ResourceLimitError when exhausted.
+
+The frames do not depend on the formula, only on the shape (number of
+worlds, domain size, semantics, number of free variables), so each shape's
+canonical reachable frames are enumerated once per process and kept in a
+log, which later calls replay (see ``_frames``).  The log is filled lazily,
+only as far as some call has read it, and it records for each frame the
+budget the enumeration spent to reach it, so a replay spends exactly what
+the enumeration would have and runs out of budget at the same place.  Its
+memory is therefore bounded by the largest budget any call has spent on the
+shape's frames.  The logs are module state and are not thread-safe: calls
+to ``enumerate_sat`` must not run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import count, permutations, product
 
-from .errors import BfomlError, InternalSolverError, ResourceLimitError
+from .errors import (ArgumentError, BfomlError, InternalSolverError,
+                     ResourceLimitError)
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, cleanse, free_vars, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
@@ -200,6 +212,12 @@ def _sat_assignment(root_node, budget: _Budget) -> dict | None:
     return search()
 
 
+def require_semantics(semantics: str) -> None:
+    """Raise ArgumentError unless semantics names one of SEMANTICS."""
+    if semantics not in SEMANTICS:
+        raise ArgumentError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+
+
 def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
                   semantics: str = "increasing",
                   budget: int | None = None) -> EnumerationResult | None:
@@ -208,12 +226,12 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     The formula is normalized with cleanse(to_nnf(.)) and evaluated at world
     "w0" under the identity assignment on its free variables, whose names
     therefore become domain elements.  A max_worlds, max_domain or budget
-    below 1 raises BfomlError.  Search order: number of worlds, then
-    domain size, then edge sets, then local-domain maps (increasing semantics
-    only; constant semantics fixes them), then interpretations.
+    below 1 raises BfomlError, and an unknown semantics ArgumentError.
+    Search order: number of worlds, then domain size, then edge sets, then
+    local-domain maps (increasing semantics only; constant semantics fixes
+    them), then interpretations.
     """
-    if semantics not in SEMANTICS:
-        raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+    require_semantics(semantics)
     for name, bound in (("max_worlds", max_worlds), ("max_domain", max_domain)):
         if bound < 1:
             raise BfomlError(f"{name} must be at least 1, got {bound}")
@@ -237,34 +255,103 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
             elements = (fv_names + fillers)[:n_dom]
-            full = frozenset(range(n_dom))
-            nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
-                        for mask in range(1, 1 << n_dom)]
-            root_required = frozenset(range(len(fv_names)))
-            for edge_mask in range(1 << (n_worlds * n_worlds)):
-                tracker.spend()
-                edges = frozenset(
-                    (i, j)
-                    for i in range(n_worlds) for j in range(n_worlds)
-                    if edge_mask >> (i * n_worlds + j) & 1)
-                if not _reachable_from_root(n_worlds, edges):
-                    continue
-                if semantics == "constant":
-                    delta_choices = [tuple([full] * n_worlds)]
-                else:
-                    delta_choices = (
-                        d for d in product(nonempty, repeat=n_worlds)
-                        if d[0] >= root_required
-                        and all(d[i] <= d[j] for i, j in edges))
-                for delta in delta_choices:
-                    tracker.spend()
-                    if not _is_canonical(n_worlds, edges, delta):
-                        continue
-                    result = _try_frame(psi, worlds, elements, edges, delta,
-                                        sigma0, tracker)
-                    if result is not None:
-                        return result
+            shape = (n_worlds, n_dom, semantics, len(fv_names))
+            for edges, delta in _frames(shape, tracker):
+                result = _try_frame(psi, worlds, elements, edges, delta,
+                                    sigma0, tracker)
+                if result is not None:
+                    return result
     return None
+
+
+# The frame log of each shape (n_worlds, n_dom, semantics, n_free): a list of
+# (charge, edge mask, delta) entries and the generator that extends it.
+_FRAME_LOGS: dict[tuple[int, int, str, int], tuple[list, object]] = {}
+
+
+def _frames(shape: tuple[int, int, str, int], tracker: _Budget):
+    """The canonical reachable frames of a shape as (edges, delta), in order.
+
+    Reads the shape's log, extending it from _frame_search when this call
+    reads past its end, and spends each entry's charge before yielding its
+    frame.  An entry's charge is the number of unit spends the enumeration
+    makes after the previous frame (or the start of the shape) up to this
+    one: one per edge mask and one per local-domain map tried; the trailing
+    entry's charge covers the spends after the last frame.
+
+    Replay is exact.  Between two frames the enumeration only spends and
+    runs pure tests, so starting from a remaining budget r, its unit spends
+    raise ResourceLimitError (whose message is fixed) somewhere in the gap
+    if and only if r - charge < 0, which is when the bulk spend raises.
+    Either way the error leaves enumerate_sat before the next frame is
+    tried, and the budget left in the discarded tracker is never read.
+    Otherwise both reach the frame with r - charge left for its grounding
+    and search.  By induction over the frames, a replay returns the same
+    model, None or ResourceLimitError as the enumeration at every budget.
+    Filling the log may run past the point where unit spending would have
+    stopped, but only up to the next frame.
+
+    If extending the log raises, the shape's log is dropped, so a later
+    call starts a new enumeration instead of reading a dead generator.
+    """
+    log = _FRAME_LOGS.get(shape)
+    if log is None:
+        log = _FRAME_LOGS[shape] = ([], _frame_search(*shape))
+    entries, source = log
+    n = shape[0]
+    bits = [(i * n + j, (i, j)) for i in range(n) for j in range(n)]
+    for index in count():
+        if index == len(entries):
+            try:
+                entries.append(next(source))
+            except BaseException:
+                if _FRAME_LOGS.get(shape) is log:
+                    del _FRAME_LOGS[shape]
+                raise
+        charge, edge_mask, delta = entries[index]
+        tracker.spend(charge)
+        if edge_mask is None:
+            return
+        yield frozenset(pair for bit, pair in bits if edge_mask >> bit & 1), delta
+
+
+def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int):
+    """The enumeration that _frames replays, as log entries in search order.
+
+    Yields (charge, edge mask, delta) per canonical reachable frame, then
+    (charge, None, None).  Edge masks run over all n_worlds**2 bits, bit
+    i * n_worlds + j standing for the edge (i, j); delta gives each world's
+    local domain as a set of element indices, the first n_free of which the
+    root must hold.  Equal deltas are one shared tuple.
+    """
+    full = frozenset(range(n_dom))
+    nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
+                for mask in range(1, 1 << n_dom)]
+    root_required = frozenset(range(n_free))
+    shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
+    charge = 0
+    for edge_mask in range(1 << (n_worlds * n_worlds)):
+        charge += 1
+        edges = frozenset(
+            (i, j)
+            for i in range(n_worlds) for j in range(n_worlds)
+            if edge_mask >> (i * n_worlds + j) & 1)
+        if not _reachable_from_root(n_worlds, edges):
+            continue
+        if semantics == "constant":
+            delta_choices = [tuple([full] * n_worlds)]
+        else:
+            delta_choices = (
+                d for d in product(nonempty, repeat=n_worlds)
+                if d[0] >= root_required
+                and all(d[i] <= d[j] for i, j in edges))
+        for delta in delta_choices:
+            charge += 1
+            if not _is_canonical(n_worlds, edges, delta):
+                continue
+            yield charge, edge_mask, shared.setdefault(delta, delta)
+            charge = 0
+    yield charge, None, None
 
 
 def _try_frame(psi, worlds, elements, edges, delta, sigma0, tracker):

@@ -7,6 +7,10 @@ class BfomlError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ArgumentError(BfomlError, ValueError):
+    """An argument outside the set of values a function accepts."""
+
+
 class ParseError(BfomlError):
     """Malformed concrete syntax. Carries a 1-based source position."""
 

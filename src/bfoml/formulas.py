@@ -218,6 +218,12 @@ def _children(g: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {g!r}")
 
 
+def _require_formula(f: Formula) -> None:
+    """Raise the walks' TypeError for a non-formula before reading its attributes."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformula occurrences of f, including f itself, preorder; iterative."""
     stack = [f]
@@ -267,6 +273,7 @@ def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
     variable; on the clean labels the tableaux produce this never happens,
     so a capture signals a cleanliness violation upstream.
     """
+    _require_formula(f)
     if replacement == target:
         return f
 
@@ -371,6 +378,7 @@ def cleanse(f: Formula) -> Formula:
     its binder's own Var object; so an output of cleanse comes back as the
     same object.
     """
+    _require_formula(f)
     free = free_vars(f)
     used = set(all_vars(f))
     taken: set[Var] = set()

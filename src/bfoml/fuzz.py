@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .enumeration import enumerate_sat
+from .enumeration import enumerate_sat, require_semantics
 from .errors import ResourceLimitError
 from .formulas import (And, Atom, Bundle, Formula, Mod, Not, Or, Predicate,
                        Quant, Var, cleanse, formula_key, var_key)
@@ -175,8 +175,10 @@ def run_oracle_agreement(seed: int, cases: int, fragment: str = "full",
     With constant semantics the corpus is restricted to the exists-box
     fragment and compared against the constant-domain procedure; otherwise
     the increasing-domain procedure decides.  Oracle budget-outs are counted
-    as inconclusive, never as disagreements.
+    as inconclusive, never as disagreements.  An unknown semantics raises
+    ArgumentError before any formula is decided.
     """
+    require_semantics(semantics)
     if semantics == "constant":
         fragment = "eb"
     gen = FormulaGenerator(seed, fragment=fragment)

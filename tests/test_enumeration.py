@@ -1,9 +1,12 @@
-"""Bounded model search: frozen examples, self-consistency, determinism."""
+"""Bounded model search: frozen examples, self-consistency, determinism, frame log replay."""
+
+from itertools import product
 
 import pytest
 
-from bfoml import ResourceLimitError, check, enumerate_sat, parse
-from bfoml.formulas import cleanse, free_vars, to_nnf
+from bfoml import (BfomlError, ResourceLimitError, check, enumerate_sat,
+                   enumeration, fuzz, identity_assignment, parse)
+from bfoml.formulas import cleanse, free_vars, to_nnf, var_key
 
 FOOTNOTE_PAIR = "(A x [] A y [] !P(x) & A z [] E w <> P(w))"
 SERIAL_FOOTNOTE_PAIR = "(E u <> T & " + FOOTNOTE_PAIR + ")"
@@ -79,3 +82,165 @@ def test_deterministic_result():
 def test_unknown_semantics_rejected():
     with pytest.raises(ValueError):
         enumerate_sat(parse("T"), 1, 1, "varying")
+
+
+def test_unknown_semantics_is_a_typed_error():
+    with pytest.raises(BfomlError, match="semantics must be one of"):
+        enumerate_sat(parse("P(x)"), 1, 1, "bogus")
+
+
+def test_oracle_agreement_rejects_unknown_semantics_before_deciding(monkeypatch):
+    def decide(*args, **kwargs):
+        raise AssertionError("a formula was decided")
+
+    monkeypatch.setattr(fuzz, "decide_increasing", decide)
+    monkeypatch.setattr(fuzz, "decide_constant_eb", decide)
+    with pytest.raises(BfomlError, match="semantics must be one of"):
+        fuzz.run_oracle_agreement(1, 2, semantics="bogus")
+
+
+# The frame log against the streaming enumeration it replaces: the same
+# frames in the same order, charged one budget unit per edge mask and one
+# per local-domain map tried, spent as it goes.
+
+def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
+    full = frozenset(range(n_dom))
+    nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
+                for mask in range(1, 1 << n_dom)]
+    root_required = frozenset(range(n_free))
+    for edge_mask in range(1 << (n_worlds * n_worlds)):
+        tracker.spend()
+        edges = frozenset(
+            (i, j)
+            for i in range(n_worlds) for j in range(n_worlds)
+            if edge_mask >> (i * n_worlds + j) & 1)
+        if not enumeration._reachable_from_root(n_worlds, edges):
+            continue
+        if semantics == "constant":
+            delta_choices = [tuple([full] * n_worlds)]
+        else:
+            delta_choices = (
+                d for d in product(nonempty, repeat=n_worlds)
+                if d[0] >= root_required
+                and all(d[i] <= d[j] for i, j in edges))
+        for delta in delta_choices:
+            tracker.spend()
+            if enumeration._is_canonical(n_worlds, edges, delta):
+                yield edges, delta
+
+
+def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
+    tracker = enumeration._Budget(budget)
+    psi = cleanse(to_nnf(formula))
+    fv_names = [str(v) for v in sorted(free_vars(psi), key=var_key)]
+    sigma0 = identity_assignment(free_vars(psi))
+    if len(fv_names) > max_domain:
+        return None
+    fillers = [f"d{k}" for k in range(max_domain + len(fv_names))
+               if f"d{k}" not in fv_names][:max_domain]
+    for n_worlds in range(1, max_worlds + 1):
+        worlds = [f"w{i}" for i in range(n_worlds)]
+        for n_dom in range(max(1, len(fv_names)), max_domain + 1):
+            elements = (fv_names + fillers)[:n_dom]
+            for edges, delta in reference_frames(n_worlds, n_dom, semantics,
+                                                 len(fv_names), tracker):
+                result = enumeration._try_frame(psi, worlds, elements, edges, delta,
+                                                sigma0, tracker)
+                if result is not None:
+                    return result
+    return None
+
+
+def outcome(search, *args):
+    try:
+        result = search(*args)
+    except ResourceLimitError as exc:
+        return f"budget: {exc}"
+    return None if result is None else (result.root, result.model.dumps())
+
+
+REPLAY_CASES = [
+    ("(E x <> P(x) & A y <> !P(y))", 3, 2, "increasing"),
+    ("(P(x) & E y <> (!P(x) & Q(x,y)))", 2, 3, "increasing"),
+    ("(E x <> P(x) & A y <> !P(y))", 3, 2, "constant"),
+    ("(E x [] P(x) & A y <> !P(y))", 2, 1, "constant"),
+]
+
+
+@pytest.mark.parametrize("text, max_worlds, max_domain, semantics", REPLAY_CASES)
+def test_replay_matches_streaming_enumeration_at_every_budget(
+        text, max_worlds, max_domain, semantics):
+    f = parse(text)
+    bounds = (f, max_worlds, max_domain, semantics)
+    expected = []
+    while not expected or str(expected[-1]).startswith("budget: "):
+        expected.append(outcome(reference_enumerate_sat, *bounds, len(expected) + 1))
+    expected += [expected[-1]] * 3
+    cold, warm = [], []
+    for budget in range(1, len(expected) + 1):
+        enumeration._FRAME_LOGS.clear()
+        cold.append(outcome(enumerate_sat, *bounds, budget))
+    enumerate_sat(*bounds)
+    for budget in range(1, len(expected) + 1):
+        warm.append(outcome(enumerate_sat, *bounds, budget))
+    assert cold == expected
+    assert warm == expected
+    assert len(expected) > 100 and expected[0].startswith("budget: ")
+
+
+class Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt without stopping the test run if it escapes."""
+
+
+def test_interrupted_fill_leaves_later_calls_correct(monkeypatch):
+    text, max_worlds, max_domain, semantics = REPLAY_CASES[0]
+    bounds = (parse(text), max_worlds, max_domain, semantics)
+    expected = outcome(reference_enumerate_sat, *bounds, 10_000)
+    real = enumeration._is_canonical
+    calls = []
+    interrupt_at = None
+
+    def interrupting(*args):
+        calls.append(args)
+        if len(calls) == interrupt_at:
+            raise Interrupt
+        return real(*args)
+
+    def fill_in_part():
+        nonlocal interrupt_at
+        enumeration._FRAME_LOGS.clear()
+        interrupt_at = None
+        enumerate_sat(bounds[0], 1, max_domain, semantics)
+        calls.clear()
+
+    monkeypatch.setattr(enumeration, "_is_canonical", interrupting)
+    fill_in_part()
+    assert outcome(enumerate_sat, *bounds, 10_000) == expected
+    total = len(calls)
+    for at in (1, total // 2, total):
+        fill_in_part()
+        interrupt_at = at
+        with pytest.raises(Interrupt):
+            enumerate_sat(*bounds)
+        assert outcome(enumerate_sat, *bounds, 10_000) == expected
+        assert outcome(enumerate_sat, *bounds, 10_000) == expected
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 2, "increasing", 0), (2, 2, "increasing", 1), (3, 2, "increasing", 0),
+    (3, 1, "constant", 0), (3, 2, "constant", 2),
+])
+def test_log_equals_streaming_frame_sequence(shape):
+    enumeration._FRAME_LOGS.pop(shape, None)
+    counter = enumeration._Budget(10 ** 9)
+    expected = [(10 ** 9 - counter.remaining, edges, delta)
+                for edges, delta in reference_frames(*shape, counter)]
+    expected.append((10 ** 9 - counter.remaining, None, None))
+    tracker = enumeration._Budget(10 ** 9)
+    got = [(10 ** 9 - tracker.remaining, edges, delta)
+           for edges, delta in enumeration._frames(shape, tracker)]
+    got.append((10 ** 9 - tracker.remaining, None, None))
+    assert got == expected
+    log, _ = enumeration._FRAME_LOGS[shape]
+    assert len(log) == len(expected)
+    assert sum(charge for charge, _, _ in log) == expected[-1][0]

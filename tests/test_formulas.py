@@ -165,7 +165,8 @@ def test_var_rendering_with_index():
 
 @pytest.mark.parametrize("walk", [
     to_nnf, classify, is_nnf, is_clean, exists_box_vars, ast_size,
-    lambda f: list(subformulas(f)),
+    lambda f: list(subformulas(f)), cleanse,
+    lambda f: substitute(f, Var("y"), Var("x")),
 ])
 def test_a_non_formula_is_a_type_error(walk):
     with pytest.raises(TypeError, match="not a formula: 42"):
