@@ -5,16 +5,17 @@ Verdicts go to stdout; a one-line run report (node count, elapsed) to stderr.
 Exit codes: sat and oracle use 10 for SAT, 20 for UNSAT/none-found; check
 uses 0 for true and 3 for false; fuzz uses 0 only when no comparison failed;
 every error path exits 1 with a message on stderr and no verdict on stdout.
+That includes a file that cannot be read or is not UTF-8 text, and a
+``check --assign`` whose name is not a variable such as ``x`` or ``x^2``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from .enumeration import enumerate_sat
+from .enumeration import SEMANTICS, enumerate_sat
 from .errors import BfomlError, InternalSolverError
 from .fo import (build_witness_model, fo_check, fo_enumerate_sat,
                  fo_model_loads, parse_fo, translate_sentence)
@@ -23,7 +24,7 @@ from .formulas import (ast_size, classify, cleanse, exists_box_vars,
 from .fuzz import run_eb_equivalence, run_oracle_agreement
 from .kripke import check, model_loads, validate
 from .limits import resolve_budget
-from .parser import parse, parse_var_name
+from .parser import is_var_name, parse, parse_var_name
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
 
@@ -32,44 +33,67 @@ EXIT_UNSAT = 20
 EXIT_FALSE = 3
 
 
-def _read_formula_arg(args) -> str:
-    if args.file is not None:
-        with open(args.file, encoding="utf-8") as handle:
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
+    except UnicodeDecodeError as exc:
+        raise BfomlError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+
+
+def _formula_text(args) -> str:
+    if args.file is not None:
+        return _read(args.file)
     if args.formula is None:
         raise BfomlError("provide a formula inline or with --file")
     return args.formula
 
 
+def _conclude(args, started: float, verdict: str, model,
+              nodes: int | None = None, trace=None) -> int:
+    """Shared tail of sat and oracle: files, verdict, run report, exit code."""
+    if args.model and model is not None:
+        _write(args.model, model.dumps())
+    if trace is not None:
+        _write(args.trace, "\n".join(trace))
+    report = f"elapsed-ms={(time.perf_counter() - started) * 1000.0:.1f}"
+    print(verdict)
+    print(report if nodes is None else f"nodes={nodes} {report}", file=sys.stderr)
+    return EXIT_SAT if verdict == "SAT" else EXIT_UNSAT
+
+
 def _cmd_sat(args) -> int:
     started = time.perf_counter()
-    formula = parse(_read_formula_arg(args))
-    if args.semantics == "constant":
-        result = decide_constant_eb(formula, budget=args.budget, tracing=args.trace is not None)
-    else:
-        result = decide_increasing(formula, budget=args.budget, tracing=args.trace is not None)
-    if args.model and result.model is not None:
-        with open(args.model, "w", encoding="utf-8") as handle:
-            handle.write(result.model.dumps() + "\n")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(result.trace or ()) + "\n")
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    decide = decide_constant_eb if args.semantics == "constant" else decide_increasing
+    result = decide(parse(_formula_text(args)), budget=args.budget,
+                    tracing=args.trace is not None)
     if result.nodes_expanded < 1:
         raise InternalSolverError("a decision expanded no tableau node")
-    print(result.verdict.value)
-    print(f"nodes={result.nodes_expanded} elapsed-ms={elapsed_ms:.1f}", file=sys.stderr)
-    return EXIT_SAT if result.is_sat else EXIT_UNSAT
+    return _conclude(args, started, result.verdict.value, result.model,
+                     result.nodes_expanded, result.trace if args.trace else None)
+
+
+def _cmd_oracle(args) -> int:
+    started = time.perf_counter()
+    found = enumerate_sat(parse(_formula_text(args)), args.max_worlds, args.max_domain,
+                          args.semantics, budget=args.budget)
+    if found is None:
+        return _conclude(args, started, "NONE", None)
+    return _conclude(args, started, "SAT", found.model)
 
 
 def _cmd_check(args) -> int:
-    with open(args.model, encoding="utf-8") as handle:
-        model = model_loads(handle.read())
-    formula = parse(_read_formula_arg(args))
+    model = model_loads(_read(args.model))
+    formula = parse(_formula_text(args))
     assignment = {}
     for item in args.assign or ():
         name, sep, element = item.partition("=")
-        if not sep or not name or not element:
+        if not sep or not is_var_name(name) or not element:
             raise BfomlError(f"bad --assign {item!r}, expected var=element")
         assignment[parse_var_name(name)] = element
     value = check(model, args.world, assignment, formula)
@@ -78,17 +102,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_nnf(args) -> int:
-    print(format_formula(to_nnf(parse(_read_formula_arg(args)))))
+    print(format_formula(to_nnf(parse(_formula_text(args)))))
     return 0
 
 
 def _cmd_clean(args) -> int:
-    print(format_formula(cleanse(parse(_read_formula_arg(args)))))
+    print(format_formula(cleanse(parse(_formula_text(args)))))
     return 0
 
 
 def _cmd_info(args) -> int:
-    formula = parse(_read_formula_arg(args))
+    formula = parse(_formula_text(args))
     fv = ",".join(str(v) for v in sorted(free_vars(formula), key=var_key))
     ebv = ",".join(str(v) for v in sorted(exists_box_vars(formula), key=var_key))
     print(f"fragment={classify(formula).value}")
@@ -100,12 +124,11 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    sentence = parse_fo(_read_formula_arg(args))
+    sentence = parse_fo(_formula_text(args))
     print(format_formula(translate_sentence(sentence)))
     if args.witness:
         if args.fo_model:
-            with open(args.fo_model, encoding="utf-8") as handle:
-                fo_model = fo_model_loads(handle.read())
+            fo_model = fo_model_loads(_read(args.fo_model))
         else:
             fo_model = fo_enumerate_sat(sentence, args.max_domain)
             if fo_model is None:
@@ -114,28 +137,8 @@ def _cmd_translate(args) -> int:
                     "elements; cannot build a witness")
         if not fo_check(fo_model, sentence):
             raise BfomlError("the relational model does not satisfy the sentence")
-        witness = build_witness_model(fo_model, sentence)
-        with open(args.witness, "w", encoding="utf-8") as handle:
-            handle.write(witness.dumps() + "\n")
+        _write(args.witness, build_witness_model(fo_model, sentence).dumps())
     return 0
-
-
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    formula = parse(_read_formula_arg(args))
-    found = enumerate_sat(formula, args.max_worlds, args.max_domain,
-                          args.semantics, budget=args.budget)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if found is None:
-        print("NONE")
-        print(f"elapsed-ms={elapsed_ms:.1f}", file=sys.stderr)
-        return EXIT_UNSAT
-    if args.model:
-        with open(args.model, "w", encoding="utf-8") as handle:
-            handle.write(found.model.dumps() + "\n")
-    print("SAT")
-    print(f"elapsed-ms={elapsed_ms:.1f}", file=sys.stderr)
-    return EXIT_SAT
 
 
 def _cmd_fuzz(args) -> int:
@@ -159,9 +162,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.model, encoding="utf-8") as handle:
-        model = model_loads(handle.read())
-    violation = validate(model)
+    violation = validate(model_loads(_read(args.model)))
     if violation is None:
         print("ok")
         return 0
@@ -169,80 +170,60 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _formula_args(sub, with_file=True):
-    sub.add_argument("formula", nargs="?", help="formula text")
-    if with_file:
-        sub.add_argument("--file", help="read the formula from this file instead")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bfoml", description=__doc__.splitlines()[0])
     commands = top.add_subparsers(dest="command", required=True)
 
-    sat = commands.add_parser("sat", help="decide satisfiability with a tableau")
-    _formula_args(sat)
-    sat.add_argument("--semantics", choices=("increasing", "constant"),
-                     default="increasing")
+    def command(name, summary, handler, *, model=False, formula=True):
+        sub = commands.add_parser(name, help=summary)
+        if model:
+            sub.add_argument("model", help="model JSON file")
+        if formula:
+            sub.add_argument("formula", nargs="?", help="formula text")
+            sub.add_argument("--file", help="read the formula from this file instead")
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sat = command("sat", "decide satisfiability with a tableau", _cmd_sat)
+    sat.add_argument("--semantics", choices=SEMANTICS, default="increasing")
     sat.add_argument("--model", help="write the model found to this JSON file")
     sat.add_argument("--trace", help="write the explored tableau to this file")
     sat.add_argument("--budget", type=int, default=None,
                      help="node budget (default from BFOML_BUDGET)")
-    sat.set_defaults(handler=_cmd_sat)
 
-    chk = commands.add_parser("check", help="evaluate a formula in a model")
-    chk.add_argument("model", help="model JSON file")
-    _formula_args(chk)
+    chk = command("check", "evaluate a formula in a model", _cmd_check, model=True)
     chk.add_argument("--world", required=True)
     chk.add_argument("--assign", action="append", metavar="VAR=ELEMENT")
-    chk.set_defaults(handler=_cmd_check)
 
-    nnf = commands.add_parser("nnf", help="print the negation normal form")
-    _formula_args(nnf)
-    nnf.set_defaults(handler=_cmd_nnf)
+    command("nnf", "print the negation normal form", _cmd_nnf)
+    command("clean", "print the cleansed formula", _cmd_clean)
+    command("info", "print fragment and measures", _cmd_info)
 
-    cln = commands.add_parser("clean", help="print the cleansed formula")
-    _formula_args(cln)
-    cln.set_defaults(handler=_cmd_clean)
-
-    info = commands.add_parser("info", help="print fragment and measures")
-    _formula_args(info)
-    info.set_defaults(handler=_cmd_info)
-
-    tr = commands.add_parser("translate",
-                             help="encode a prenex FO(R) sentence into the modal language")
-    _formula_args(tr)
+    tr = command("translate", "encode a prenex FO(R) sentence into the modal language",
+                 _cmd_translate)
     tr.add_argument("--witness", help="also write a witness model to this JSON file")
     tr.add_argument("--fo-model", help="relational model JSON to build the witness from")
     tr.add_argument("--max-domain", type=int, default=3,
                     help="search bound when no relational model is supplied")
-    tr.set_defaults(handler=_cmd_translate)
 
-    orc = commands.add_parser("oracle", help="bounded brute-force model search")
-    _formula_args(orc)
-    orc.add_argument("--semantics", choices=("increasing", "constant"),
-                     default="increasing")
+    orc = command("oracle", "bounded brute-force model search", _cmd_oracle)
+    orc.add_argument("--semantics", choices=SEMANTICS, default="increasing")
     orc.add_argument("--max-worlds", type=int, default=4)
     orc.add_argument("--max-domain", type=int, default=3)
     orc.add_argument("--model", help="write the model found to this JSON file")
     orc.add_argument("--budget", type=int, default=None)
-    orc.set_defaults(handler=_cmd_oracle)
 
-    fz = commands.add_parser("fuzz", help="seeded differential testing")
+    fz = command("fuzz", "seeded differential testing", _cmd_fuzz, formula=False)
     fz.add_argument("--seed", type=int, default=1)
     fz.add_argument("--count", type=int, default=100)
     fz.add_argument("--fragment", choices=("full", "eb", "ed"), default="full")
-    fz.add_argument("--semantics", choices=("increasing", "constant"),
-                    default="increasing")
+    fz.add_argument("--semantics", choices=SEMANTICS, default="increasing")
     fz.add_argument("--max-worlds", type=int, default=4)
     fz.add_argument("--max-domain", type=int, default=3)
     fz.add_argument("--budget", type=int, default=None)
     fz.add_argument("--oracle-budget", type=int, default=None)
-    fz.set_defaults(handler=_cmd_fuzz)
 
-    val = commands.add_parser("validate", help="validate a model JSON file")
-    val.add_argument("model", help="model JSON file")
-    val.set_defaults(handler=_cmd_validate)
-
+    command("validate", "validate a model JSON file", _cmd_validate, model=True, formula=False)
     return top
 
 
@@ -263,18 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_numbers(args)
         return args.handler(args)
-    except BfomlError as exc:
+    except (BfomlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 def entry_point() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .enumeration import enumerate_sat, require_semantics
-from .errors import ResourceLimitError
+from .errors import ArgumentError, ResourceLimitError
 from .formulas import (And, Atom, Bundle, Formula, Mod, Not, Or, Predicate,
                        Quant, Var, cleanse, formula_key, var_key)
 from .kripke import KripkeModel
@@ -32,20 +32,22 @@ _BUNDLE_KINDS = {
     "eb": ((Quant.EXISTS, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)),
     "ed": ((Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)),
 }
+# The predicate pool and size bounds every generated formula and model shares.
+_PREDICATES = (Predicate("P", 1), Predicate("Q", 2))
+_MAX_MODAL_DEPTH = 3
+_MAX_WORLDS = 3
+_MAX_DOMAIN = 3
 
 
 class FormulaGenerator:
     """Deterministic stream of clean NNF formulas for a given seed."""
 
-    def __init__(self, seed: int, fragment: str = "full", max_modal_depth: int = 3,
-                 predicates: tuple[tuple[str, int], ...] = (("P", 1), ("Q", 2)),
+    def __init__(self, seed: int, fragment: str = "full",
                  variables: tuple[str, ...] = ("x", "y", "u", "v")):
         if fragment not in _BUNDLE_KINDS:
-            raise ValueError(f"fragment must be one of {sorted(_BUNDLE_KINDS)}")
+            raise ArgumentError(f"fragment must be one of {sorted(_BUNDLE_KINDS)}")
         self.rng = random.Random(seed)
         self.kinds = _BUNDLE_KINDS[fragment]
-        self.max_modal_depth = max_modal_depth
-        self.predicates = tuple(Predicate(n, a) for n, a in predicates)
         self.variables = tuple(Var(n) for n in variables)
 
     def formula(self) -> Formula:
@@ -54,13 +56,13 @@ class FormulaGenerator:
     def raw(self, depth: int | None = None, budget: int | None = None) -> Formula:
         """Like formula() but without the cleansing pass; binders may clash."""
         if depth is None:
-            depth = self.rng.randint(0, self.max_modal_depth)
+            depth = self.rng.randint(0, _MAX_MODAL_DEPTH)
         if budget is None:
             budget = self.rng.randint(2, 8)
         return self._gen(depth, budget)
 
     def _literal(self) -> Formula:
-        pred = self.rng.choice(self.predicates)
+        pred = self.rng.choice(_PREDICATES)
         args = tuple(self.rng.choice(self.variables) for _ in range(pred.arity))
         node: Formula = Atom(pred, args)
         if self.rng.random() < 0.4:
@@ -85,16 +87,13 @@ class FormulaGenerator:
 class ModelGenerator:
     """Small random models for semantic-equivalence spot checks."""
 
-    def __init__(self, seed: int,
-                 predicates: tuple[tuple[str, int], ...] = (("P", 1), ("Q", 2))):
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.predicates = predicates
 
-    def model(self, max_worlds: int = 3, max_domain: int = 3,
-              constant: bool = False) -> KripkeModel:
+    def model(self, constant: bool = False) -> KripkeModel:
         rng = self.rng
-        n_worlds = rng.randint(1, max_worlds)
-        n_dom = rng.randint(1, max_domain)
+        n_worlds = rng.randint(1, _MAX_WORLDS)
+        n_dom = rng.randint(1, _MAX_DOMAIN)
         worlds = [f"w{i}" for i in range(n_worlds)]
         domain = [f"a{i}" for i in range(n_dom)]
         edges = {(w, v) for w in worlds for v in worlds if rng.random() < 0.35}
@@ -109,10 +108,10 @@ class ModelGenerator:
                     local[v] |= local[w]
         rho: dict[str, dict[str, set[tuple[str, ...]]]] = {w: {} for w in worlds}
         for w in worlds:
-            for name, arity in self.predicates:
-                tuples = {t for t in product(domain, repeat=arity) if rng.random() < 0.35}
+            for pred in _PREDICATES:
+                tuples = {t for t in product(domain, repeat=pred.arity) if rng.random() < 0.35}
                 if tuples:
-                    rho[w][name] = tuples
+                    rho[w][pred.name] = tuples
         return KripkeModel.create(worlds, domain, edges, local, rho)
 
     def assignment(self, model: KripkeModel, world: str, variables) -> dict[Var, str]:

@@ -67,6 +67,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def is_var_name(text: str) -> bool:
+    """True when ``text`` is exactly one variable token, such as ``x`` or ``x^2``."""
+    match = _TOKEN_RE.fullmatch(text)
+    return match is not None and match.lastgroup == "lident"
+
+
 def parse_var_name(text: str) -> Var:
     """Parse a bare variable token such as ``x`` or ``x^2``."""
     if "^" in text:

@@ -1,6 +1,7 @@
 """Command-line behaviour: verdicts, exit codes, files, error paths."""
 
 import json
+import re
 
 import pytest
 
@@ -224,3 +225,109 @@ def test_budget_env_must_be_an_integer(monkeypatch, capsys):
 ])
 def test_deep_nesting_is_a_one_line_error(argv, capsys):
     assert_one_line_error(capsys, argv, "nested too deeply")
+
+
+# Unreadable input and bad --assign names end in one error line.
+
+@pytest.fixture()
+def not_utf8(tmp_path):
+    path = tmp_path / "bytes.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["sat", "--file", "{bad}"],
+    ["oracle", "--file", "{bad}"],
+    ["check", "{bad}", "T", "--world", "w0"],
+    ["check", "{model}", "--file", "{bad}", "--world", "w0"],
+])
+def test_non_utf8_file_is_a_one_line_error(argv, not_utf8, model_file, capsys):
+    argv = [a.format(bad=not_utf8, model=model_file) for a in argv]
+    assert_one_line_error(capsys, argv, "not UTF-8 text")
+
+
+def test_non_utf8_fo_model_is_a_one_line_error(not_utf8, tmp_path, capsys):
+    # translate prints the encoding before it reads the relational model.
+    out = tmp_path / "w.json"
+    assert main(["translate", "EX x . EX y . R(x,y)", "--fo-model", not_utf8,
+                 "--witness", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["x^a=a", "X=a", "1x=a", "x y=a", " x=a", "x^=a"])
+def test_assign_name_must_be_a_variable(item, model_file, capsys):
+    assert_one_line_error(capsys, ["check", model_file, "T", "--world", "w0",
+                                   "--assign", item], f"bad --assign {item!r}")
+
+
+def test_assign_accepts_a_numbered_variable(model_file, capsys):
+    assert main(["check", model_file, "P(x^2)", "--world", "w0", "--assign", "x^2=a"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+# The output contract of sat and oracle: report lines, written files.
+
+SAT_REPORT = re.compile(r"nodes=[1-9][0-9]* elapsed-ms=[0-9]+\.[0-9]\n")
+ORACLE_REPORT = re.compile(r"elapsed-ms=[0-9]+\.[0-9]\n")
+
+
+@pytest.mark.parametrize("argv, code, verdict, report", [
+    (["sat", "E x [] P(x)"], 10, "SAT", SAT_REPORT),
+    (["sat", "(P(x) & !P(x))"], 20, "UNSAT", SAT_REPORT),
+    (["oracle", "E x [] P(x)", "--max-worlds", "1", "--max-domain", "1"], 10, "SAT",
+     ORACLE_REPORT),
+    (["oracle", "(P(x) & !P(x))", "--max-worlds", "1", "--max-domain", "1"], 20, "NONE",
+     ORACLE_REPORT),
+])
+def test_run_report_format(argv, code, verdict, report, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == verdict + "\n"
+    assert report.fullmatch(captured.err)
+
+
+def test_written_files_end_in_one_newline(tmp_path, capsys):
+    sat_model, trace, oracle_model, witness = (
+        tmp_path / name for name in ("sat.json", "trace.txt", "oracle.json", "witness.json"))
+    assert main(["sat", "E x <> P(x)", "--model", str(sat_model),
+                 "--trace", str(trace)]) == 10
+    assert main(["oracle", "E x [] P(x)", "--max-worlds", "1", "--max-domain", "1",
+                 "--model", str(oracle_model)]) == 10
+    assert main(["translate", "EX x . EX y . R(x,y)", "--witness", str(witness)]) == 0
+    for path in (sat_model, trace, oracle_model, witness):
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "(P(x) & !P(x))"],
+    ["oracle", "(P(x) & !P(x))", "--max-worlds", "1", "--max-domain", "1"],
+])
+def test_no_model_file_without_a_model(argv, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(argv + ["--model", str(out)]) == 20
+    assert not out.exists()
+
+
+def test_check_and_oracle_read_the_formula_file(model_file, tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text("E x [] P(x)\n")
+    assert main(["check", model_file, "--file", str(path), "--world", "w0"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert main(["oracle", "--file", str(path), "--max-worlds", "1", "--max-domain", "1"]) == 10
+    assert capsys.readouterr().out == "SAT\n"
+
+
+def test_validate_reports_the_violation(tmp_path, capsys):
+    path = tmp_path / "shrinking.json"
+    path.write_text(json.dumps({
+        "worlds": ["w0", "w1"], "domain": ["a", "b"], "edges": [["w0", "w1"]],
+        "local": {"w0": ["a", "b"], "w1": ["a"]}, "rho": {}}))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "violation: monotonicity at (w0,w1): "
+        "local domain must not shrink along an edge; lost ['b']\n")

@@ -1,6 +1,9 @@
 """Differential harness: generator hygiene and cross-procedure agreement."""
 
+import pytest
+
 from bfoml import Fragment, Verdict, classify, decide_increasing, is_clean, is_nnf
+from bfoml.errors import ArgumentError
 from bfoml.fuzz import (DifferentialReport, FormulaGenerator, ModelGenerator,
                         run_eb_equivalence, run_oracle_agreement)
 from bfoml.kripke import validate
@@ -30,6 +33,14 @@ def test_generator_respects_fragment():
             got = classify(f)
             assert got in allowed
             assert got is not Fragment.FULL
+
+
+def test_generator_rejects_an_unknown_fragment():
+    # ArgumentError is both a BfomlError and a ValueError.
+    with pytest.raises(ArgumentError, match="fragment must be one of"):
+        FormulaGenerator(1, fragment="bogus")
+    with pytest.raises(ValueError):
+        FormulaGenerator(1, fragment="bogus")
 
 
 def test_model_generator_emits_valid_models():
