@@ -5,8 +5,10 @@ Verdicts go to stdout; a one-line run report (node count, elapsed) to stderr.
 Exit codes: sat and oracle use 10 for SAT, 20 for UNSAT/none-found; check
 uses 0 for true and 3 for false; fuzz uses 0 only when no comparison failed;
 every error path exits 1 with a message on stderr and no verdict on stdout.
-That includes a file that cannot be read or is not UTF-8 text, and a
-``check --assign`` whose name is not a variable such as ``x`` or ``x^2``.
+That includes a file that cannot be read or is not UTF-8 text, an empty
+``--model``, ``--trace`` or ``--witness`` path, and a ``check --assign``
+whose name is not a variable such as ``x`` or ``x^2``.  ``translate`` prints
+the encoding only after any witness file is written.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _cmd_sat(args) -> int:
     if result.nodes_expanded < 1:
         raise InternalSolverError("a decision expanded no tableau node")
     return _conclude(args, started, result.verdict.value, result.model,
-                     result.nodes_expanded, result.trace if args.trace else None)
+                     result.nodes_expanded, result.trace)
 
 
 def _cmd_oracle(args) -> int:
@@ -88,7 +90,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model = model_loads(_read(args.model))
+    model = model_loads(_read(args.model_file))
     formula = parse(_formula_text(args))
     assignment = {}
     for item in args.assign or ():
@@ -125,9 +127,9 @@ def _cmd_info(args) -> int:
 
 def _cmd_translate(args) -> int:
     sentence = parse_fo(_formula_text(args))
-    print(format_formula(translate_sentence(sentence)))
+    encoding = format_formula(translate_sentence(sentence))
     if args.witness:
-        if args.fo_model:
+        if args.fo_model is not None:
             fo_model = fo_model_loads(_read(args.fo_model))
         else:
             fo_model = fo_enumerate_sat(sentence, args.max_domain)
@@ -138,6 +140,7 @@ def _cmd_translate(args) -> int:
         if not fo_check(fo_model, sentence):
             raise BfomlError("the relational model does not satisfy the sentence")
         _write(args.witness, build_witness_model(fo_model, sentence).dumps())
+    print(encoding)
     return 0
 
 
@@ -162,7 +165,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    violation = validate(model_loads(_read(args.model)))
+    violation = validate(model_loads(_read(args.model_file)))
     if violation is None:
         print("ok")
         return 0
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, summary, handler, *, model=False, formula=True):
         sub = commands.add_parser(name, help=summary)
         if model:
-            sub.add_argument("model", help="model JSON file")
+            sub.add_argument("model_file", metavar="model", help="model JSON file")
         if formula:
             sub.add_argument("formula", nargs="?", help="formula text")
             sub.add_argument("--file", help="read the formula from this file instead")
@@ -227,8 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_numbers(args) -> None:
-    """Reject numbers that make no sense, then fill in the default budget."""
+def _check_args(args) -> None:
+    """Reject empty output paths and numbers that make no sense, then fill in
+    the default budget."""
+    for name in ("model", "trace", "witness"):
+        if getattr(args, name, None) == "":
+            raise BfomlError(f"--{name} needs a file path, got an empty one")
     for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -242,7 +249,7 @@ def _check_numbers(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_numbers(args)
+        _check_args(args)
         return args.handler(args)
     except (BfomlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

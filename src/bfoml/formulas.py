@@ -25,11 +25,24 @@ class Var:
 
     Generated variables carry an index and render as ``x^3``; source-level
     variables normally have no index.  ``x^3`` is valid concrete syntax, so
-    printing and reparsing a generated variable is lossless.
+    printing and reparsing a generated variable is lossless.  The hash is
+    computed once per instance, and a pickle carries the fields alone, so a
+    loaded variable rehashes in its own process.
     """
 
     name: str
     index: int | None = None
+
+    def __post_init__(self) -> None:
+        # Kept outside the fields, as the formula nodes keep theirs; it equals
+        # the dataclass hash of (name, index).
+        self.__dict__["_hash"] = hash((self.name, self.index))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Var, (self.name, self.index)
 
     def __str__(self) -> str:
         if self.index is None:

@@ -231,42 +231,54 @@ class _Evaluator:
         return got
 
     def eval(self, world: str, sigma: dict[Var, str], f: Formula) -> bool:
+        # Tested in order of frequency in NNF formulas.
         if isinstance(f, Atom):
-            t = tuple(sigma[v] for v in f.args)
-            return t in self.model.facts(world, f.pred.name)
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not self.eval(world, sigma, f.body)
+            facts = self.model.rho.get(world)
+            return facts is not None and tuple(map(sigma.__getitem__, f.args)) in facts.get(
+                f.pred.name, ())
         if isinstance(f, And):
             return self.eval(world, sigma, f.left) and self.eval(world, sigma, f.right)
-        if isinstance(f, Or):
-            return self.eval(world, sigma, f.left) or self.eval(world, sigma, f.right)
-        if isinstance(f, Implies):
-            return (not self.eval(world, sigma, f.left)) or self.eval(world, sigma, f.right)
         if isinstance(f, Bundle):
-            key = (world, id(f), tuple(sigma[v] for v in free_vars(f)))
+            key = (world, id(f), tuple(map(sigma.__getitem__, free_vars(f))))
             got = self._memo.get(key)
             if got is None:
                 got = self._memo[key] = self._eval_bundle(world, sigma, f)
             return got
+        if isinstance(f, Not):
+            return not self.eval(world, sigma, f.body)
+        if isinstance(f, Or):
+            return self.eval(world, sigma, f.left) or self.eval(world, sigma, f.right)
+        if isinstance(f, Top):
+            return True
+        if isinstance(f, Bot):
+            return False
+        if isinstance(f, Implies):
+            return (not self.eval(world, sigma, f.left)) or self.eval(world, sigma, f.right)
         raise TypeError(f"not a formula: {f!r}")
 
     def _eval_bundle(self, world: str, sigma: dict[Var, str], f: Bundle) -> bool:
+        """Some (E) or every (A) element d of the local domain is such that
+        the body with the bundle's variable at d holds at every successor
+        (box) or at some successor (diamond).
+
+        One copy of the assignment is rebound to each d in turn; the body's
+        evaluation is finished before the next d is bound.
+        """
         elements, succs = self.frame(world)
-
-        def modal(d: str) -> bool:
-            """The body with the bundle's variable at d: at every successor
-            for a box, at some successor for a diamond."""
-            child = dict(sigma)
+        body, box, exists = f.body, f.mod is Mod.BOX, f.quant is Quant.EXISTS
+        child = dict(sigma)
+        for d in elements:
             child[f.var] = d
-            found = (self.eval(v, child, f.body) for v in succs)
-            return all(found) if f.mod is Mod.BOX else any(found)
-
-        found = (modal(d) for d in elements)
-        return any(found) if f.quant is Quant.EXISTS else all(found)
+            # A box fails at the first successor where the body is false, a
+            # diamond holds at the first one where it is true.
+            holds = box
+            for v in succs:
+                if self.eval(v, child, body) is not box:
+                    holds = not box
+                    break
+            if holds is exists:
+                return exists
+        return not exists
 
 
 def check(model: KripkeModel, world: str, assignment: Assignment, formula: Formula) -> bool:

@@ -3,6 +3,12 @@
 It holds the label and rule-application types, the and/or/end rules, the
 depth-first search and the model read-off.  A procedure supplies its label
 constructor, its branching rule, and a `Search` subclass.
+
+The search solves each distinct label once and shares its outcome, so an
+open completion is a DAG: a node may have several parents.  The read-off
+walks each node once and merges worlds that have the same local domain,
+facts and successors, so the model is a DAG whose equal worlds are merged.
+A label met again spends one budget unit, as any other label does.
 """
 
 from __future__ import annotations
@@ -162,6 +168,13 @@ class Search:
     and "end" replace the label, "or" tries its children until one is open,
     and "br" needs every child open.  Subclasses set ``letter``, the trace's
     name for the tracked set, and implement ``expand``.
+
+    A label's outcome depends only on its formula set and tracked set, never
+    on its world name, so each distinct label is solved once per search.  The
+    outcome of every label that ``solve`` is called on, an open completion or
+    None, is kept.  A label met again spends one budget unit, writes one trace
+    line naming the world that first solved it, and shares that world's
+    completion, so a completion is a DAG.
     """
 
     letter: str
@@ -171,6 +184,9 @@ class Search:
         self.nodes = 0
         self.max_depth = 0
         self.trace: list[str] | None = [] if tracing else None
+        # (gamma, tracked set) -> (world that solved it, its outcome)
+        self.solved: dict[tuple[tuple[Formula, ...], frozenset[Var]],
+                          tuple[str, TableauNode | None]] = {}
 
     def expand(self, label: Label) -> RuleApplication | None:
         raise NotImplementedError
@@ -194,6 +210,18 @@ class Search:
 
     def solve(self, label: Label, depth: int) -> TableauNode | None:
         self.max_depth = max(self.max_depth, depth)
+        key = (label.gamma, label.vars)
+        seen = self.solved.get(key)
+        if seen is not None:
+            self.spend()
+            world, node = seen
+            self.emit(depth, label, f"reuses {world}, {'closed' if node is None else 'open'}")
+            return node
+        node = self._solve_unseen(label, depth)
+        self.solved[key] = (label.world, node)
+        return node
+
+    def _solve_unseen(self, label: Label, depth: int) -> TableauNode | None:
         while True:
             self.spend()
             clash = find_clash(label.gamma)
@@ -238,31 +266,45 @@ class Search:
 
 
 def read_model(tableau: TableauNode) -> KripkeModel:
-    """Read a model off an open completion.
+    """Read a model off an open completion, which may share nodes.
 
-    Worlds are node names and edges follow the tree.  A world's local domain
-    is the names of its recorded variables, built once per distinct set; the
-    domain is their union.  A positive literal at the last label of a world
-    becomes a fact there.
+    Each distinct node is walked once, depth first, and named by the first
+    path that reaches it: the root is "r" and the i-th child of world w is
+    "w.i", so a completion that is a tree keeps its search-path names.  A
+    world's local domain is the names of its recorded variables, built once
+    per distinct set, and a positive literal at its last label becomes a
+    fact there.  Bottom up, a world with the same local domain, facts and
+    successor worlds as one named before it is merged into that one.  The
+    merge is the identity on elements and maps successors onto successors,
+    so it is a bounded morphism and every formula keeps its truth value
+    (Blackburn, de Rijke & Venema, *Modal Logic*, 2001, ch. 2).  Merged
+    worlds have equal local domains, which therefore still grow along every
+    edge.  The domain is the union of the local domains.
     """
-    worlds: list[str] = []
     edges: list[tuple[str, str]] = []
     local: dict[str, frozenset[str]] = {}
     names: dict[frozenset[Var], frozenset[str]] = {}
     rho: dict[str, dict[str, set[tuple[str, ...]]]] = {}
+    world_of: dict[int, str] = {}  # node identity -> its world
+    merged: dict[tuple, str] = {}  # (domain, atoms, successors) -> world
 
-    def walk(node: TableauNode) -> None:
-        worlds.append(node.world)
-        local[node.world] = names.get(node.dom)
-        if local[node.world] is None:
-            local[node.world] = names[node.dom] = frozenset(str(v) for v in node.dom)
-        for f in node.gamma:
-            if isinstance(f, Atom):
-                rho.setdefault(node.world, {}).setdefault(f.pred.name, set()).add(
+    def walk(node: TableauNode, name: str) -> str:
+        world = world_of.get(id(node))
+        if world is not None:
+            return world
+        succs = frozenset([walk(child, f"{name}.{i}") for i, child in enumerate(node.children)])
+        atoms = frozenset([f for f in node.gamma if isinstance(f, Atom)])
+        world = merged.setdefault((node.dom, atoms, succs), name)
+        if world == name:
+            local[name] = names.get(node.dom)
+            if local[name] is None:
+                local[name] = names[node.dom] = frozenset(str(v) for v in node.dom)
+            edges.extend((name, v) for v in succs)
+            for f in atoms:
+                rho.setdefault(name, {}).setdefault(f.pred.name, set()).add(
                     tuple(str(a) for a in f.args))
-        for child in node.children:
-            edges.append((node.world, child.world))
-            walk(child)
+        world_of[id(node)] = world
+        return world
 
-    walk(tableau)
-    return KripkeModel.create(worlds, frozenset().union(*names.values()), edges, local, rho)
+    walk(tableau, "r")
+    return KripkeModel.create(local, frozenset().union(*local.values()), edges, local, rho)

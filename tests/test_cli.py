@@ -181,9 +181,10 @@ def test_formula_from_file(tmp_path, capsys):
 
 
 def test_budget_env_default(monkeypatch, capsys):
-    # This decision needs 88 nodes; the environment only allows 40.
+    # This decision needs 88 nodes, none of them a repeated label; the
+    # environment only allows 40.
     monkeypatch.setenv("BFOML_BUDGET", "40")
-    assert main(["sat", "E a <> E b <> E c <> A u <> A v <> A w1 <> P(u)"]) == 1
+    assert main(["sat", "E a <> E b <> E c <> A u <> A v <> A w1 <> Q(u,v)"]) == 1
     assert "budget" in capsys.readouterr().err
 
 
@@ -249,13 +250,41 @@ def test_non_utf8_file_is_a_one_line_error(argv, not_utf8, model_file, capsys):
 
 
 def test_non_utf8_fo_model_is_a_one_line_error(not_utf8, tmp_path, capsys):
-    # translate prints the encoding before it reads the relational model.
     out = tmp_path / "w.json"
-    assert main(["translate", "EX x . EX y . R(x,y)", "--fo-model", not_utf8,
-                 "--witness", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "not UTF-8 text" in err
+    assert_one_line_error(capsys, ["translate", "EX x . EX y . R(x,y)", "--fo-model", not_utf8,
+                                   "--witness", str(out)], "not UTF-8 text")
     assert not out.exists()
+
+
+# translate prints the encoding only once the witness is written.
+
+def test_witness_from_a_missing_fo_model_leaves_stdout_empty(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert_one_line_error(capsys, ["translate", "EX x . EX y . R(x,y)", "--fo-model",
+                                   str(tmp_path / "missing.json"), "--witness", str(out)],
+                          "missing.json")
+    assert not out.exists()
+
+
+def test_witness_from_a_non_model_leaves_stdout_empty(tmp_path, capsys):
+    fo_model = tmp_path / "fo.json"
+    fo_model.write_text(json.dumps({"domain": ["a"], "R": []}))
+    out = tmp_path / "w.json"
+    assert_one_line_error(capsys, ["translate", "EX x . EX y . R(x,y)", "--fo-model",
+                                   str(fo_model), "--witness", str(out)],
+                          "does not satisfy the sentence")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "E x <> P(x)", "--trace", ""],
+    ["sat", "E x <> P(x)", "--model", ""],
+    ["oracle", "E x [] P(x)", "--max-worlds", "1", "--max-domain", "1", "--model", ""],
+    ["translate", "EX x . EX y . R(x,y)", "--witness", ""],
+])
+def test_empty_output_path_is_rejected(argv, capsys):
+    flag = argv[argv.index("") - 1]
+    assert_one_line_error(capsys, argv, f"{flag} needs a file path")
 
 
 @pytest.mark.parametrize("item", ["x^a=a", "X=a", "1x=a", "x y=a", " x=a", "x^=a"])

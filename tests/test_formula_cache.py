@@ -153,6 +153,30 @@ def test_pickled_node_hashes_like_a_fresh_one_in_another_process():
     assert done.stdout.decode().strip() == "True"
 
 
+def test_var_hash_is_the_dataclass_hash_of_its_fields():
+    for v in (Var("x"), Var("x", 3), Var("w1", 0)):
+        assert hash(v) == hash((v.name, v.index))
+        assert [fl.name for fl in dataclasses.fields(v)] == ["name", "index"]
+        assert dataclasses.asdict(v) == {"name": v.name, "index": v.index}
+        assert v == Var(v.name, v.index) and repr(v) == repr(Var(v.name, v.index))
+
+
+def test_pickled_var_carries_fields_only_and_rehashes_in_another_process():
+    v = Var("x", 3)
+    payload = pickle.dumps(v)
+    assert b"_hash" not in payload
+    assert pickle.loads(payload) == v
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import pickle, sys\n"
+              "from bfoml import Var\n"
+              "v = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(v) == hash(Var('x', 3)) == hash(('x', 3)) and v == Var('x', 3))\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], input=payload,
+                          capture_output=True, env=env, timeout=60, check=True)
+    assert done.stdout.decode().strip() == "True"
+
+
 def test_second_key_renders_nothing(monkeypatch):
     f = parse("E x [] (P(x) | !Q(x,y))")
     calls = []
