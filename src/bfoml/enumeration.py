@@ -349,6 +349,9 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int):
             charge += 1
             if not _is_canonical(n_worlds, edges, delta):
                 continue
+            # The entry holds the mask, not the edge set: logs live as long as
+            # the process, an int is far smaller than a frozenset of pairs,
+            # and _frames rebuilds the set only for the frame it yields.
             yield charge, edge_mask, shared.setdefault(delta, delta)
             charge = 0
     yield charge, None, None

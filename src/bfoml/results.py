@@ -18,14 +18,12 @@ class Verdict(Enum):
 class TableauNode:
     """A world of an open tableau completion.
 
-    Carries the label at the last node of the world (the one a branching rule
-    fired on, or the final leaf), the local-domain variables extracted from
-    it, and the child worlds created by branching.  A node the search reused
-    is shared by several parents and keeps the name of the world that first
-    solved it, so the model read-off names worlds by path, not by ``world``.
+    Carries the formula set at the last node of the world (the one a
+    branching rule fired on, or the final leaf), the local-domain variables
+    extracted from it, and the child worlds created by branching.  A node the
+    search reused is shared by several parents.
     """
 
-    world: str
     gamma: tuple[Formula, ...]
     dom: frozenset[Var]
     children: tuple["TableauNode", ...]

@@ -26,11 +26,17 @@ from .results import DecisionResult, TableauNode, Verdict
 
 @dataclass(frozen=True)
 class Label:
-    """(world, canonical formula set, tracked variables: witnesses or used ones)."""
+    """(canonical formula set, tracked variables: witnesses or used ones).
 
-    world: str
+    A label's outcome depends on nothing else, so it is the search's memo key.
+    Its termination measure is derived once when it is built, as ``measure``.
+    """
+
     gamma: tuple[Formula, ...]
     vars: frozenset[Var]
+
+    def __post_init__(self):
+        object.__setattr__(self, "measure", label_measure(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -110,16 +116,15 @@ def local_rule(label: Label, part: Partition, make) -> RuleApplication | None:
     if part.ands:
         first = part.ands[0]
         rest.remove(first)
-        return RuleApplication(
-            "and", (make(label.world, rest + [first.left, first.right], label.vars),))
+        return RuleApplication("and", (make(rest + [first.left, first.right], label.vars),))
     if part.ors:
         first = part.ors[0]
         rest.remove(first)
         return RuleApplication("or", tuple(
-            make(label.world, rest + [branch], label.vars)
+            make(rest + [branch], label.vars)
             for branch in (first.left, first.right)))
     if part.exists_box or part.forall_box:
-        return RuleApplication("end", (make(label.world, part.literals, label.vars),))
+        return RuleApplication("end", (make(part.literals, label.vars),))
     return None
 
 
@@ -136,12 +141,11 @@ def label_measure(gamma: tuple[Formula, ...]) -> tuple[int, int]:
     return (rank, bools)
 
 
-def assert_measure_decreases(premise: tuple[int, int], child: tuple[Formula, ...]) -> None:
+def assert_measure_decreases(premise: Label, child: Label) -> None:
     """The child label's measure lies strictly below the premise's measure."""
-    measure = label_measure(child)
-    if measure >= premise:
+    if child.measure >= premise.measure:
         raise InternalSolverError(
-            f"termination measure failed to decrease: {premise} -> {measure}")
+            f"termination measure failed to decrease: {premise.measure} -> {child.measure}")
 
 
 def assert_vars_only_free(gamma: tuple[Formula, ...], tracked: frozenset[Var]) -> None:
@@ -169,12 +173,13 @@ class Search:
     and "br" needs every child open.  Subclasses set ``letter``, the trace's
     name for the tracked set, and implement ``expand``.
 
-    A label's outcome depends only on its formula set and tracked set, never
-    on its world name, so each distinct label is solved once per search.  The
-    outcome of every label that ``solve`` is called on, an open completion or
-    None, is kept.  A label met again spends one budget unit, writes one trace
-    line naming the world that first solved it, and shares that world's
-    completion, so a completion is a DAG.
+    Each distinct label is solved once per search: the outcome of every label
+    that ``solve`` is called on, an open completion or None, is kept.  The
+    world's search-path name only labels trace lines: an "or" child keeps its
+    premise's name and the i-th "br" child of world w is "w.i".  A label met
+    again spends one budget unit, writes one trace line naming the world that
+    first solved it, and shares that world's completion, so a completion is a
+    DAG.
     """
 
     letter: str
@@ -184,9 +189,8 @@ class Search:
         self.nodes = 0
         self.max_depth = 0
         self.trace: list[str] | None = [] if tracing else None
-        # (gamma, tracked set) -> (world that solved it, its outcome)
-        self.solved: dict[tuple[tuple[Formula, ...], frozenset[Var]],
-                          tuple[str, TableauNode | None]] = {}
+        # label -> (world that solved it, its outcome)
+        self.solved: dict[Label, tuple[str, TableauNode | None]] = {}
 
     def expand(self, label: Label) -> RuleApplication | None:
         raise NotImplementedError
@@ -201,59 +205,56 @@ class Search:
         if self.remaining < 0:
             raise ResourceLimitError("tableau node budget exhausted")
 
-    def emit(self, depth: int, label: Label, note: str) -> None:
+    def emit(self, depth: int, world: str, label: Label, note: str) -> None:
         if self.trace is not None:
             gamma = ", ".join(formula_key(f) for f in label.gamma)
             tracked = ",".join(str(v) for v in sorted(label.vars, key=var_key))
-            self.trace.append(f"{'  ' * (depth - 1)}{label.world} [{note}] "
+            self.trace.append(f"{'  ' * (depth - 1)}{world} [{note}] "
                               f"Γ={{{gamma}}} {self.letter}={{{tracked}}}")
 
-    def solve(self, label: Label, depth: int) -> TableauNode | None:
+    def solve(self, label: Label, world: str, depth: int) -> TableauNode | None:
         self.max_depth = max(self.max_depth, depth)
-        key = (label.gamma, label.vars)
-        seen = self.solved.get(key)
+        seen = self.solved.get(label)
         if seen is not None:
             self.spend()
-            world, node = seen
-            self.emit(depth, label, f"reuses {world}, {'closed' if node is None else 'open'}")
+            first, node = seen
+            outcome = "closed" if node is None else "open"
+            self.emit(depth, world, label, f"reuses {first}, {outcome}")
             return node
-        node = self._solve_unseen(label, depth)
-        self.solved[key] = (label.world, node)
+        node = self._solve_unseen(label, world, depth)
+        self.solved[label] = (world, node)
         return node
 
-    def _solve_unseen(self, label: Label, depth: int) -> TableauNode | None:
+    def _solve_unseen(self, label: Label, world: str, depth: int) -> TableauNode | None:
         while True:
             self.spend()
             clash = find_clash(label.gamma)
             if clash is not None:
-                self.emit(depth, label, f"closed: {clash}")
+                self.emit(depth, world, label, f"closed: {clash}")
                 return None
             app = self.expand(label)
             if app is None:
-                self.emit(depth, label, "open leaf")
-                return TableauNode(label.world, label.gamma,
-                                   self.local_domain(label.vars), ())
-            premise = label_measure(label.gamma)
+                self.emit(depth, world, label, "open leaf")
+                return TableauNode(label.gamma, self.local_domain(label.vars), ())
             for child in app.children:
-                assert_measure_decreases(premise, child.gamma)
-            self.emit(depth, label, app.rule)
+                assert_measure_decreases(label, child)
+            self.emit(depth, world, label, app.rule)
             if app.rule in ("and", "end"):
                 label = app.children[0]
                 continue
             if app.rule == "or":
                 for child in app.children:
-                    node = self.solve(child, depth + 1)
+                    node = self.solve(child, world, depth + 1)
                     if node is not None:
                         return node
                 return None
             kids = []
-            for child in app.children:
-                node = self.solve(child, depth + 1)
+            for i, child in enumerate(app.children):
+                node = self.solve(child, f"{world}.{i}", depth + 1)
                 if node is None:
                     return None
                 kids.append(node)
-            return TableauNode(label.world, label.gamma,
-                               self.local_domain(app.vars), tuple(kids))
+            return TableauNode(label.gamma, self.local_domain(app.vars), tuple(kids))
 
     def result(self, theta: Formula, completion: TableauNode | None = None,
                model: KripkeModel | None = None,

@@ -75,12 +75,11 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
     return ConstantDomainPlan(theta, h, exists_vars, pools, domain)
 
 
-def make_label(world: str, formulas, used: frozenset[Var],
-               plan: ConstantDomainPlan) -> Label:
+def make_label(formulas, used: frozenset[Var], plan: ConstantDomainPlan) -> Label:
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, plan.domain)
     assert_vars_only_free(gamma, plan.domain)
-    return Label(world, gamma, used)
+    return Label(gamma, used)
 
 
 def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication | None:
@@ -109,11 +108,9 @@ def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication |
         witnesses[b.var] = available[0]
     box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in part.exists_box]
     new_used = label.vars | set(witnesses.values())
-    fan = [(y, b) for y in sorted(plan.domain, key=var_key) for b in part.forall_diamond]
     return RuleApplication("br", tuple(
-        make_label(f"{label.world}.{i}", box_bodies + [substitute(b.body, y, b.var)],
-                   new_used | {y}, plan)
-        for i, (y, b) in enumerate(fan)), new_used)
+        make_label(box_bodies + [substitute(b.body, y, b.var)], new_used | {y}, plan)
+        for y in sorted(plan.domain, key=var_key) for b in part.forall_diamond), new_used)
 
 
 class _Search(Search):
@@ -146,7 +143,7 @@ def decide_constant_eb(formula: Formula, budget: int | None = None,
     theta = cleanse(to_nnf(formula))
     plan = build_domain(theta)
     search = _Search(plan, budget, tracing)
-    completion = search.solve(make_label("r", (theta,), frozenset(free_vars(theta)), plan), 1)
+    completion = search.solve(make_label((theta,), frozenset(free_vars(theta)), plan), "r", 1)
     if completion is None:
         return search.result(theta)
     model = extract_constant_model(completion, plan)

@@ -30,11 +30,11 @@ from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 extract_model = read_model
 
 
-def make_label(world: str, formulas, free: frozenset[Var]) -> Label:
+def make_label(formulas, free: frozenset[Var]) -> Label:
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, free)
     assert_vars_only_free(gamma, free)
-    return Label(world, gamma, free)
+    return Label(gamma, free)
 
 
 def expand(label: Label) -> RuleApplication | None:
@@ -54,9 +54,8 @@ def expand(label: Label) -> RuleApplication | None:
     children = [[b.body] + box_bodies for b in part.exists_diamond]
     children += [[substitute(b.body, y, b.var)] + box_bodies
                  for b in part.forall_diamond for y in sorted(new_free, key=var_key)]
-    return RuleApplication("br", tuple(
-        make_label(f"{label.world}.{i}", formulas, new_free)
-        for i, formulas in enumerate(children)), new_free)
+    return RuleApplication("br", tuple(make_label(formulas, new_free) for formulas in children),
+                           new_free)
 
 
 class _Search(Search):
@@ -79,7 +78,7 @@ def decide_increasing(formula: Formula, budget: int | None = None,
     z = fresh_like(Var("z"), all_vars(theta))
     f_r = free_vars(theta) | {z}
     search = _Search(budget, tracing)
-    completion = search.solve(make_label("r", (theta,), f_r), 1)
+    completion = search.solve(make_label((theta,), f_r), "r", 1)
     if completion is None:
         return search.result(theta)
     model = extract_model(completion)

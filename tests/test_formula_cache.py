@@ -9,14 +9,14 @@ import sys
 import pytest
 
 from bfoml import (InternalSolverError, InvalidModelError, KripkeModel, Var,
-                   check, cleanse, parse, substitute, to_nnf)
-from bfoml import formulas
+                   check, cleanse, decide_constant_eb, parse, substitute, to_nnf)
+from bfoml import formulas, tableau_common
 from bfoml.formulas import (And, Atom, Bot, Bundle, Implies, Not, Or, Top,
                             bound_vars, boolean_connective_count, formula_key,
                             free_vars, modal_depth, subformulas)
 from bfoml.fuzz import FormulaGenerator
 from bfoml.kripke import _Evaluator
-from bfoml.tableau_common import assert_measure_decreases, label_measure
+from bfoml.tableau_common import Label, assert_measure_decreases
 
 
 # From-scratch references: plain recursions that read no kept attribute.
@@ -190,11 +190,26 @@ def test_second_key_renders_nothing(monkeypatch):
 
 
 def test_measure_check_stays_on():
-    premise = (parse("(P(x) & Q(x))"),)
-    child = (parse("P(x)"), parse("Q(x)"))
-    assert_measure_decreases(label_measure(premise), child)
+    tracked = frozenset({Var("x")})
+    premise = Label((parse("(P(x) & Q(x))"),), tracked)
+    child = Label((parse("P(x)"), parse("Q(x)")), tracked)
+    assert_measure_decreases(premise, child)
     with pytest.raises(InternalSolverError, match="failed to decrease"):
-        assert_measure_decreases(label_measure(child), premise)
+        assert_measure_decreases(child, premise)
+
+
+def test_each_label_is_measured_once(monkeypatch):
+    # bench/workloads.chain_ad(random.Random(1), 3): thousands of labels.
+    text = ("A xmj <> (A vca <> (E lpc [] Pgm(vca,lpc) & A xlt <> (Qou(xmj) & "
+            "E maa [] Pgm(xlt,maa))) & E ksg [] Pgm(xmj,ksg))")
+    built, measured = [], []
+    init, measure = Label.__init__, tableau_common.label_measure
+    monkeypatch.setattr(Label, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    monkeypatch.setattr(tableau_common, "label_measure",
+                        lambda gamma: measured.append(1) or measure(gamma))
+    assert decide_constant_eb(parse(text)).is_sat
+    assert len(built) > 1000
+    assert len(measured) == len(built)
 
 
 def test_evaluator_rejects_a_shrinking_edge():

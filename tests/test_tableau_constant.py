@@ -54,7 +54,7 @@ def test_pools_are_disjoint_and_fresh():
 
 def test_expand_forall_diamond_over_domain():
     plan = plan_for("A y <> P(y)")
-    lab = make_label("r", (parse("A y <> P(y)"),), frozenset(), plan)
+    lab = make_label((parse("A y <> P(y)"),), frozenset(), plan)
     app = expand_constant(lab, plan)
     assert app.rule == "br"
     (child,) = app.children
@@ -64,7 +64,7 @@ def test_expand_forall_diamond_over_domain():
 
 def test_expand_box_takes_lowest_unused_pool_member():
     plan = plan_for("(E x [] P(x) & A y <> Q(y))")
-    lab = make_label("r", (parse("E x [] P(x)"), parse("A y <> Q(y)")),
+    lab = make_label((parse("E x [] P(x)"), parse("A y <> Q(y)")),
                      frozenset(), plan)
     app = expand_constant(lab, plan)
     assert app.rule == "br"
@@ -79,7 +79,7 @@ def test_witness_pick_skips_pool_members_used_on_the_path():
     # exactly this reason).
     plan = plan_for("A y <> A y2 <> (E x [] P(x) & A y3 <> Q(y3))")
     assert names(plan.pools[Var("x")]) == ["x^1", "x^2", "x^3"]
-    lab = make_label("r.0.0", (parse("E x [] P(x)"), parse("A y3 <> Q(y3)")),
+    lab = make_label((parse("E x [] P(x)"), parse("A y3 <> Q(y3)")),
                      frozenset({Var("x", 1), Var("x", 2)}), plan)
     app = expand_constant(lab, plan)
     assert app.rule == "br"
@@ -97,7 +97,7 @@ def test_deep_path_through_own_pool_decides_correctly():
 
 def test_expand_end_with_only_boxes():
     plan = plan_for("(E x [] P(x) & R(v))")
-    lab = make_label("r", (parse("E x [] P(x)"), parse("R(v)")), frozenset(), plan)
+    lab = make_label((parse("E x [] P(x)"), parse("R(v)")), frozenset(), plan)
     app = expand_constant(lab, plan)
     assert app.rule == "end"
     assert app.children[0].gamma == (parse("R(v)"),)

@@ -11,13 +11,13 @@ from bfoml.tableau_increasing import expand, extract_model, make_label
 from golden import GOLDEN
 
 
-def label(world, texts, names):
-    return make_label(world, tuple(parse(t) for t in texts),
+def label(texts, names):
+    return make_label(tuple(parse(t) for t in texts),
                       frozenset(Var(n) for n in names))
 
 
 def test_expand_exists_diamond():
-    app = expand(label("r", ["E x <> P(x)"], ["z"]))
+    app = expand(label(["E x <> P(x)"], ["z"]))
     assert app.rule == "br"
     (child,) = app.children
     assert child.gamma == (parse("P(x)"),)
@@ -25,7 +25,7 @@ def test_expand_exists_diamond():
 
 
 def test_expand_forall_diamond_instantiates_over_tracked():
-    app = expand(label("r", ["A y <> P(y)"], ["z"]))
+    app = expand(label(["A y <> P(y)"], ["z"]))
     assert app.rule == "br"
     (child,) = app.children
     assert child.gamma == (parse("P(z)"),)
@@ -33,13 +33,13 @@ def test_expand_forall_diamond_instantiates_over_tracked():
 
 
 def test_expand_end_without_diamonds():
-    app = expand(label("r", ["E x [] P(x)", "Q(z)"], ["z"]))
+    app = expand(label(["E x [] P(x)", "Q(z)"], ["z"]))
     assert app.rule == "end"
     assert app.children[0].gamma == (parse("Q(z)"),)
 
 
 def test_expand_box_bodies_reach_every_child():
-    app = expand(label("r", ["E x <> P(x)", "E y [] Q(y)", "A u [] R(u)"], ["z"]))
+    app = expand(label(["E x <> P(x)", "E y [] Q(y)", "A u [] R(u)"], ["z"]))
     assert app.rule == "br"
     (child,) = app.children
     # The exists-box body arrives as is; the forall-box body is instantiated
@@ -50,12 +50,12 @@ def test_expand_box_bodies_reach_every_child():
 
 
 def test_expand_leaf():
-    assert expand(label("r", ["P(z)", "!Q(z,z)"], ["z"])) is None
+    assert expand(label(["P(z)", "!Q(z,z)"], ["z"])) is None
 
 
 def test_expand_all_four_bundle_groups_at_once():
-    app = expand(label("r", ["E a <> P(a)", "E b [] Q(b,b)", "A c <> P(c)",
-                             "A d [] Q(d,d)", "P(z)"], ["z"]))
+    app = expand(label(["E a <> P(a)", "E b [] Q(b,b)", "A c <> P(c)",
+                        "A d [] Q(d,d)", "P(z)"], ["z"]))
     assert app.rule == "br"
     assert app.vars == {Var("a"), Var("b"), Var("z")}
     shared = {parse("Q(b,b)"), parse("Q(a,a)"), parse("Q(z,z)")}
