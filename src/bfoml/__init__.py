@@ -26,7 +26,7 @@ from .kripke import (Assignment, KripkeModel, ModelViolation, check,
                      identity_assignment, model_from_json_dict, model_loads,
                      validate)
 from .parser import parse
-from .results import DecisionResult, TableauNode, Verdict
+from .tableau_common import DecisionResult, TableauNode, Verdict
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
 

@@ -86,10 +86,12 @@ class Formula:
     node's attributes (printed key, free and bound variables, modal depth,
     connective count) from its children's, and a node is complete once it is
     built.  They are kept in the node's ``__dict__`` under underscore names
-    and are not dataclass fields, so ``==``, ``repr``, ``fields`` and
-    ``asdict`` never see them, and a pickle carries the fields alone.  A node
-    hashes by its key, which its fields determine, so equal nodes hash equal.
-    The cost is that a tree of nesting depth d holds O(d**2) key characters.
+    and are not dataclass fields, so ``repr``, ``fields`` and ``asdict``
+    never see them, and a pickle carries the fields alone.  A node hashes
+    and compares by its key, which its fields determine and which, for the
+    variable names the parser reads, determines them, so ``==`` does not
+    recurse into the tree.  The cost is that a tree of nesting depth d holds
+    O(d**2) key characters.
     """
 
     __slots__ = ()
@@ -106,14 +108,20 @@ class Formula:
     def __hash__(self) -> int:
         return hash(self._key)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__dataclass_fields__)
 
 
 def _node(cls):
-    """A frozen dataclass formula node that hashes by its key."""
+    """A frozen dataclass formula node that hashes and compares by its key."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = Formula.__hash__
+    cls.__eq__ = Formula.__eq__
     return cls
 
 

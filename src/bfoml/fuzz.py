@@ -174,12 +174,16 @@ def run_oracle_agreement(seed: int, cases: int, fragment: str = "full",
     With constant semantics the corpus is restricted to the exists-box
     fragment and compared against the constant-domain procedure; otherwise
     the increasing-domain procedure decides.  Oracle budget-outs are counted
-    as inconclusive, never as disagreements.  An unknown semantics raises
-    ArgumentError before any formula is decided.
+    as inconclusive, never as disagreements.  An unknown semantics, or the
+    exists-diamond fragment with constant semantics, raises ArgumentError
+    before any formula is decided.
     """
     require_semantics(semantics)
     if semantics == "constant":
-        fragment = "eb"
+        if fragment == "ed":
+            raise ArgumentError("constant semantics needs the exists-box fragment, got ed")
+        if fragment == "full":
+            fragment = "eb"
     gen = FormulaGenerator(seed, fragment=fragment)
     report = DifferentialReport()
     for _ in range(cases):

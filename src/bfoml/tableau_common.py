@@ -1,8 +1,9 @@
 """The tableau engine that both decision procedures run on.
 
-It holds the label and rule-application types, the and/or/end rules, the
+It holds the tableau types, the rule order with the and/or/end rules, the
 depth-first search and the model read-off.  A procedure supplies its label
-constructor, its branching rule, and a `Search` subclass.
+constructor, its branching rule and, in a ``Search`` subclass, the local
+domain a world records.  A label is checked once, when it is built.
 
 The search solves each distinct label once and shares its outcome, so an
 open completion is a DAG: a node may have several parents.  The read-off
@@ -13,7 +14,9 @@ A label met again spends one budget unit, as any other label does.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import InternalSolverError, ResourceLimitError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
@@ -21,7 +24,43 @@ from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        formula_key, free_vars, is_literal, modal_depth, var_key)
 from .kripke import KripkeModel
 from .limits import resolve_budget
-from .results import DecisionResult, TableauNode, Verdict
+
+
+class Verdict(Enum):
+    SAT = "SAT"
+    UNSAT = "UNSAT"
+
+
+@dataclass(frozen=True)
+class TableauNode:
+    """A world of an open tableau completion.
+
+    Carries the formula set at the last node of the world (the one a
+    branching rule fired on, or the final leaf), the local-domain variables
+    extracted from it, and the child worlds created by branching.  A node the
+    search reused is shared by several parents.
+    """
+
+    gamma: tuple[Formula, ...]
+    dom: frozenset[Var]
+    children: tuple["TableauNode", ...]
+
+
+@dataclass(frozen=True)
+class DecisionResult:
+    verdict: Verdict
+    model: KripkeModel | None
+    root: str | None
+    assignment: dict[Var, str] | None
+    normalized: Formula
+    nodes_expanded: int
+    max_recursion_depth: int
+    tableau: TableauNode | None
+    trace: tuple[str, ...] | None
+
+    @property
+    def is_sat(self) -> bool:
+        return self.verdict is Verdict.SAT
 
 
 @dataclass(frozen=True)
@@ -29,13 +68,18 @@ class Label:
     """(canonical formula set, tracked variables: witnesses or used ones).
 
     A label's outcome depends on nothing else, so it is the search's memo key.
-    Its termination measure is derived once when it is built, as ``measure``.
+    Building it checks that each formula is an and, an or, a bundle, F or a
+    literal, and derives its termination measure once, as ``measure``.
     """
 
     gamma: tuple[Formula, ...]
     vars: frozenset[Var]
 
     def __post_init__(self):
+        for f in self.gamma:
+            if not (isinstance(f, (And, Or, Bundle, Bot)) or is_literal(f)):
+                raise InternalSolverError(
+                    f"label holds a formula outside the NNF grammar: {f}")
         object.__setattr__(self, "measure", label_measure(self.gamma))
 
 
@@ -69,62 +113,32 @@ def find_clash(gamma: tuple[Formula, ...]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Partition:
-    ands: tuple[And, ...]
-    ors: tuple[Or, ...]
-    exists_diamond: tuple[Bundle, ...]
-    exists_box: tuple[Bundle, ...]
-    forall_diamond: tuple[Bundle, ...]
-    forall_box: tuple[Bundle, ...]
-    literals: tuple[Formula, ...]
+def apply_rule(label: Label, make, branch) -> RuleApplication | None:
+    """Apply the first rule that fits the label; None on an open leaf.
 
-    @property
-    def can_branch(self) -> bool:
-        """The boolean rules are done and a diamond bundle is left."""
-        return not (self.ands or self.ors) and bool(self.exists_diamond or self.forall_diamond)
-
-
-_BUNDLE_GROUP = {(Quant.EXISTS, Mod.DIAMOND): "exists_diamond",
-                 (Quant.EXISTS, Mod.BOX): "exists_box",
-                 (Quant.FORALL, Mod.DIAMOND): "forall_diamond",
-                 (Quant.FORALL, Mod.BOX): "forall_box"}
-
-
-def partition(gamma: tuple[Formula, ...]) -> Partition:
-    groups: dict[str, list] = {name: [] for name in Partition.__dataclass_fields__}
-    for f in gamma:
-        if isinstance(f, And):
-            groups["ands"].append(f)
-        elif isinstance(f, Or):
-            groups["ors"].append(f)
-        elif isinstance(f, Bundle):
-            groups[_BUNDLE_GROUP[f.quant, f.mod]].append(f)
-        elif isinstance(f, Bot) or is_literal(f):
-            groups["literals"].append(f)
-        else:
-            raise InternalSolverError(
-                f"label holds a formula outside the NNF grammar: {f}")
-    return Partition(**{name: tuple(fs) for name, fs in groups.items()})
-
-
-def local_rule(label: Label, part: Partition, make) -> RuleApplication | None:
-    """Split the leftmost and, else branch on the leftmost or, else drop the
-    box bundles; None on a finished leaf.  ``make`` builds the child labels.
+    Split the leftmost and, else branch on the leftmost or, else, when a
+    diamond bundle is left, apply the procedure's ``branch(label, bundles)``,
+    else drop the box bundles.  ``make(formulas, tracked)`` builds a child
+    label; ``bundles`` maps each (quantifier, modality) pair to the label's
+    bundles of that kind, in label order.
     """
-    rest = list(label.gamma)
-    if part.ands:
-        first = part.ands[0]
-        rest.remove(first)
-        return RuleApplication("and", (make(rest + [first.left, first.right], label.vars),))
-    if part.ors:
-        first = part.ors[0]
-        rest.remove(first)
-        return RuleApplication("or", tuple(
-            make(rest + [branch], label.vars)
-            for branch in (first.left, first.right)))
-    if part.exists_box or part.forall_box:
-        return RuleApplication("end", (make(part.literals, label.vars),))
+    gamma, tracked = label.gamma, label.vars
+    for rule, kind in (("and", And), ("or", Or)):
+        for i, f in enumerate(gamma):
+            if isinstance(f, kind):
+                rest = gamma[:i] + gamma[i + 1:]
+                parts = [(f.left, f.right)] if kind is And else [(f.left,), (f.right,)]
+                return RuleApplication(rule, tuple(make(rest + part, tracked)
+                                                   for part in parts))
+    bundles: defaultdict[tuple[Quant, Mod], list[Bundle]] = defaultdict(list)
+    for f in gamma:
+        if isinstance(f, Bundle):
+            bundles[f.quant, f.mod].append(f)
+    if bundles[Quant.EXISTS, Mod.DIAMOND] or bundles[Quant.FORALL, Mod.DIAMOND]:
+        return branch(label, bundles)
+    if any(bundles.values()):
+        literals = tuple(f for f in gamma if not isinstance(f, Bundle))
+        return RuleApplication("end", (make(literals, tracked),))
     return None
 
 
@@ -171,7 +185,8 @@ class Search:
     Each rule application is checked against the termination measure.  "and"
     and "end" replace the label, "or" tries its children until one is open,
     and "br" needs every child open.  Subclasses set ``letter``, the trace's
-    name for the tracked set, and implement ``expand``.
+    name for the tracked set, implement ``expand`` as one ``apply_rule``
+    call, and may override ``local_domain``.
 
     Each distinct label is solved once per search: the outcome of every label
     that ``solve`` is called on, an open completion or None, is kept.  The
@@ -211,6 +226,14 @@ class Search:
             tracked = ",".join(str(v) for v in sorted(label.vars, key=var_key))
             self.trace.append(f"{'  ' * (depth - 1)}{world} [{note}] "
                               f"Γ={{{gamma}}} {self.letter}={{{tracked}}}")
+
+    def run(self, root: Label) -> TableauNode | None:
+        """Solve the root label as world "r"; a search too deep for the Python
+        stack (two frames per nested "or" or "br" step) is a resource limit."""
+        try:
+            return self.solve(root, "r", 1)
+        except RecursionError:
+            raise ResourceLimitError("tableau search nested too deeply") from None
 
     def solve(self, label: Label, world: str, depth: int) -> TableauNode | None:
         self.max_depth = max(self.max_depth, depth)

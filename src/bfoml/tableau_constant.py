@@ -20,26 +20,26 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import FragmentError, InternalSolverError
-from .formulas import (Formula, Fragment, Var, all_vars, classify, cleanse,
-                       exists_box_vars, formula_key, free_vars, fresh_like,
-                       fresh_var, is_clean, is_nnf, modal_depth, substitute,
-                       to_nnf, var_key)
+from .formulas import (Bundle, Formula, Fragment, Mod, Quant, Var, all_vars,
+                       classify, cleanse, exists_box_vars, formula_key,
+                       free_vars, fresh_like, fresh_var, is_clean, is_nnf,
+                       modal_depth, substitute, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
-from .results import DecisionResult, TableauNode
-from .tableau_common import (Label, RuleApplication, Search,
-                             assert_free_vars_tracked, assert_vars_only_free,
-                             canonical_gamma, local_rule, partition, read_model)
+from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
+                             TableauNode, apply_rule, assert_free_vars_tracked,
+                             assert_vars_only_free, canonical_gamma, read_model)
 # Not called here; bench/tracing.py rebinds these names in this module.
 from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
+
+# The bundles outside the exists-box fragment.
+_ESCAPED = ((Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX))
 
 
 @dataclass(frozen=True)
 class ConstantDomainPlan:
     """Everything fixed before constant-domain tableau construction starts."""
 
-    theta: Formula
     depth: int
-    exists_vars: tuple[Var, ...]
     pools: dict[Var, tuple[Var, ...]]
     domain: frozenset[Var]
 
@@ -60,9 +60,8 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
         raise InternalSolverError("build_domain expects a clean NNF input")
     h = modal_depth(theta)
     used = set(all_vars(theta))
-    exists_vars = tuple(sorted(exists_box_vars(theta), key=var_key))
     pools: dict[Var, tuple[Var, ...]] = {}
-    for x in exists_vars:
+    for x in sorted(exists_box_vars(theta), key=var_key):
         pool = []
         while len(pool) < h:
             candidate = fresh_var(x, used)
@@ -72,31 +71,25 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
     extra = fresh_like(Var("z"), used)
     domain = frozenset(free_vars(theta)) | frozenset(
         v for pool in pools.values() for v in pool) | {extra}
-    return ConstantDomainPlan(theta, h, exists_vars, pools, domain)
+    return ConstantDomainPlan(h, pools, domain)
 
 
 def make_label(formulas, used: frozenset[Var], plan: ConstantDomainPlan) -> Label:
+    """A label over the fixed domain whose bundles stay in the exists-box fragment."""
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, plan.domain)
     assert_vars_only_free(gamma, plan.domain)
+    for f in gamma:
+        if isinstance(f, Bundle) and (f.quant, f.mod) in _ESCAPED:
+            raise FragmentError("label escaped the exists-box fragment")
     return Label(gamma, used)
 
 
-def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication | None:
-    """One rule application under the fixed-domain regime; None on a leaf.
-
-    The boolean and end rules are the engine's.  Branching needs at least one
-    universal-diamond formula and creates one child per domain variable and
-    universal-diamond formula; every child also receives each exists-box body
-    with its binder replaced by the chosen pool witness.
-    """
-    part = partition(label.gamma)
-    if part.exists_diamond or part.forall_box:
-        raise FragmentError("label escaped the exists-box fragment")
-    if not part.can_branch:
-        return local_rule(label, part, partial(make_label, plan=plan))
+def branch(label: Label, bundles, plan: ConstantDomainPlan) -> RuleApplication:
+    """The constant-domain branching rule described in the module docstring."""
     witnesses: dict[Var, Var] = {}
-    for b in part.exists_box:
+    exists_box = bundles[Quant.EXISTS, Mod.BOX]
+    for b in exists_box:
         pool = plan.pools[b.var]
         available = [v for v in pool if v not in label.vars]
         if not available:
@@ -106,11 +99,17 @@ def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication |
             raise InternalSolverError(
                 f"more than depth-1 pool members of {b.var} consumed on one path")
         witnesses[b.var] = available[0]
-    box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in part.exists_box]
+    box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in exists_box]
     new_used = label.vars | set(witnesses.values())
     return RuleApplication("br", tuple(
         make_label(box_bodies + [substitute(b.body, y, b.var)], new_used | {y}, plan)
-        for y in sorted(plan.domain, key=var_key) for b in part.forall_diamond), new_used)
+        for y in sorted(plan.domain, key=var_key)
+        for b in bundles[Quant.FORALL, Mod.DIAMOND]), new_used)
+
+
+def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication | None:
+    """One rule application under the fixed-domain regime; None on a leaf."""
+    return apply_rule(label, partial(make_label, plan=plan), partial(branch, plan=plan))
 
 
 class _Search(Search):
@@ -143,7 +142,7 @@ def decide_constant_eb(formula: Formula, budget: int | None = None,
     theta = cleanse(to_nnf(formula))
     plan = build_domain(theta)
     search = _Search(plan, budget, tracing)
-    completion = search.solve(make_label((theta,), frozenset(free_vars(theta)), plan), "r", 1)
+    completion = search.run(make_label((theta,), frozenset(free_vars(theta)), plan))
     if completion is None:
         return search.result(theta)
     model = extract_constant_model(completion, plan)

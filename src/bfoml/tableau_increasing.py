@@ -16,13 +16,12 @@ tracked set.  The model checker re-checks it before SAT is reported.
 from __future__ import annotations
 
 from .errors import InternalSolverError
-from .formulas import (Formula, Var, all_vars, cleanse, formula_key, free_vars,
-                       fresh_like, substitute, to_nnf, var_key)
+from .formulas import (Formula, Mod, Quant, Var, all_vars, cleanse, formula_key,
+                       free_vars, fresh_like, substitute, to_nnf, var_key)
 from .kripke import check, identity_assignment
-from .results import DecisionResult
-from .tableau_common import (Label, RuleApplication, Search,
-                             assert_free_vars_tracked, assert_vars_only_free,
-                             canonical_gamma, local_rule, partition, read_model)
+from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
+                             apply_rule, assert_free_vars_tracked,
+                             assert_vars_only_free, canonical_gamma, read_model)
 # Not called here; bench/tracing.py rebinds these names in this module.
 from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
@@ -37,25 +36,26 @@ def make_label(formulas, free: frozenset[Var]) -> Label:
     return Label(gamma, free)
 
 
-def expand(label: Label) -> RuleApplication | None:
-    """Apply one tableau rule to the label; None when it is a finished leaf.
-
-    The boolean and end rules are the engine's.  Once only bundles and
-    literals remain, a label with at least one diamond bundle branches.
-    """
-    part = partition(label.gamma)
-    if not part.can_branch:
-        return local_rule(label, part, make_label)
-    new_free = label.vars | {b.var for b in part.exists_diamond + part.exists_box}
-    box_bodies = [b.body for b in part.exists_box]
+def branch(label: Label, bundles) -> RuleApplication:
+    """The increasing-domain branching rule described in the module docstring."""
+    exists_diamond = bundles[Quant.EXISTS, Mod.DIAMOND]
+    exists_box = bundles[Quant.EXISTS, Mod.BOX]
+    new_free = label.vars | {b.var for b in exists_diamond + exists_box}
+    box_bodies = [b.body for b in exists_box]
     box_bodies += [substitute(b.body, y, b.var)
-                   for b in part.forall_box
+                   for b in bundles[Quant.FORALL, Mod.BOX]
                    for y in sorted(new_free, key=var_key)]
-    children = [[b.body] + box_bodies for b in part.exists_diamond]
+    children = [[b.body] + box_bodies for b in exists_diamond]
     children += [[substitute(b.body, y, b.var)] + box_bodies
-                 for b in part.forall_diamond for y in sorted(new_free, key=var_key)]
+                 for b in bundles[Quant.FORALL, Mod.DIAMOND]
+                 for y in sorted(new_free, key=var_key)]
     return RuleApplication("br", tuple(make_label(formulas, new_free) for formulas in children),
                            new_free)
+
+
+def expand(label: Label) -> RuleApplication | None:
+    """Apply one tableau rule to the label; None when it is a finished leaf."""
+    return apply_rule(label, make_label, branch)
 
 
 class _Search(Search):
@@ -78,7 +78,7 @@ def decide_increasing(formula: Formula, budget: int | None = None,
     z = fresh_like(Var("z"), all_vars(theta))
     f_r = free_vars(theta) | {z}
     search = _Search(budget, tracing)
-    completion = search.solve(make_label((theta,), f_r), "r", 1)
+    completion = search.run(make_label((theta,), f_r))
     if completion is None:
         return search.result(theta)
     model = extract_model(completion)

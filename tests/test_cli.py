@@ -215,6 +215,11 @@ def test_fuzz_negative_count_is_rejected(capsys):
     assert_one_line_error(capsys, ["fuzz", "--count", "-3"], "--count must not be negative")
 
 
+def test_fuzz_rejects_ed_under_constant_semantics(capsys):
+    assert_one_line_error(capsys, ["fuzz", "--fragment", "ed", "--semantics", "constant",
+                                   "--count", "3"], "exists-box")
+
+
 def test_budget_env_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("BFOML_BUDGET", "lots")
     assert_one_line_error(capsys, ["sat", "E x [] P(x)"], "BFOML_BUDGET must be an integer")

@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from bfoml import (BfomlError, ResourceLimitError, check, enumerate_sat,
-                   enumeration, fuzz, identity_assignment, parse)
+from bfoml import (ArgumentError, BfomlError, ResourceLimitError, check,
+                   enumerate_sat, enumeration, fuzz, identity_assignment, parse)
 from bfoml.formulas import cleanse, free_vars, to_nnf, var_key
 
 FOOTNOTE_PAIR = "(A x [] A y [] !P(x) & A z [] E w <> P(w))"
@@ -97,6 +97,16 @@ def test_oracle_agreement_rejects_unknown_semantics_before_deciding(monkeypatch)
     monkeypatch.setattr(fuzz, "decide_constant_eb", decide)
     with pytest.raises(BfomlError, match="semantics must be one of"):
         fuzz.run_oracle_agreement(1, 2, semantics="bogus")
+
+
+def test_oracle_agreement_rejects_ed_under_constant_semantics_before_deciding(monkeypatch):
+    def decide(*args, **kwargs):
+        raise AssertionError("a formula was decided")
+
+    monkeypatch.setattr(fuzz, "decide_increasing", decide)
+    monkeypatch.setattr(fuzz, "decide_constant_eb", decide)
+    with pytest.raises(ArgumentError, match="exists-box"):
+        fuzz.run_oracle_agreement(1, 2, fragment="ed", semantics="constant")
 
 
 # The frame log against the streaming enumeration it replaces: the same

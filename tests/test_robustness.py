@@ -2,13 +2,15 @@
 
 import pytest
 
-from bfoml import parse
+from bfoml import ResourceLimitError, decide_increasing, parse
 from bfoml.cli import main
 from bfoml.fo import FOSentence, R_PRED, parse_fo, translate_sentence
 from bfoml.formulas import (Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
                             all_vars, ast_size, bound_vars, boolean_connective_count,
                             classify, cleanse, exists_box_vars, free_vars, is_clean,
                             is_nnf, modal_depth, subformulas, substitute, to_nnf)
+
+from test_cli import assert_one_line_error
 
 
 def deep_negations(depth=3000):
@@ -33,6 +35,14 @@ def test_deep_formula_built_in_code_answers_without_recursion():
     assert all_vars(f) == {Var("x"), Var("y")}
     assert modal_depth(f) == 1
     assert boolean_connective_count(f) == 0
+
+
+def test_deep_formulas_compare_without_recursion():
+    assert deep_negations() == deep_negations()
+    f = Atom(Predicate("P", 1), (Var("u"),))
+    for _ in range(3000):
+        f = Not(f)
+    assert deep_negations() != Bundle(Quant.EXISTS, Mod.BOX, Var("y"), f)
 
 
 def test_deep_formula_built_in_code_walks_without_recursion():
@@ -82,3 +92,19 @@ def test_cli_rewrites_reach_as_deep_as_the_parser(command, text, capsys):
 def test_fo_translation_reaches_deep_matrices():
     sentence = parse_fo("EX x . " + "(R(x,x) & " * 450 + "R(x,x)" + ")" * 450)
     assert classify(translate_sentence(sentence)) is Fragment.EXISTS_DIAMOND
+
+
+# 600 disjunctions under left-nested conjunctions: the parser reads it, and
+# the search takes two Python frames per open or-choice.
+WIDE_OR_CHAIN = ("(" * 599 + "(P0(x) | Q0(x))"
+                 + "".join(f" & (P{i}(x) | Q{i}(x)))" for i in range(1, 600)))
+
+
+def test_wide_or_chain_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        decide_increasing(parse(WIDE_OR_CHAIN))
+
+
+def test_cli_wide_or_chain_is_a_one_line_error(capsys):
+    assert_one_line_error(capsys, ["sat", "--semantics", "constant", WIDE_OR_CHAIN],
+                          "tableau search nested too deeply")

@@ -21,7 +21,7 @@ def names(vs):
 def test_build_domain_single_box():
     plan = plan_for("E x [] P(x)")
     assert plan.depth == 1
-    assert names(plan.exists_vars) == ["x"]
+    assert names(plan.pools) == ["x"]
     assert names(plan.pools[Var("x")]) == ["x^1"]
     assert names(plan.domain) == ["x^1", "z"]
 
@@ -44,12 +44,24 @@ def test_build_domain_rejects_other_fragment():
 
 def test_pools_are_disjoint_and_fresh():
     # x^1 already occurs in the input, so the pool for x must skip it.
-    plan = plan_for("(E x [] P(x) & E x^1 [] Q(x^1,x^1))")
+    text = "(E x [] P(x) & E x^1 [] Q(x^1,x^1))"
+    plan = plan_for(text)
     flat = [v for pool in plan.pools.values() for v in pool]
     assert len(flat) == len(set(flat))
     from bfoml.formulas import all_vars
-    assert not set(flat) & all_vars(plan.theta)
+    assert not set(flat) & all_vars(cleanse(to_nnf(parse(text))))
     assert Var("x", 1) not in plan.pools[Var("x")]
+
+
+@pytest.mark.parametrize("text", ["A x [] P(x)", "(E x <> P(x) & A y <> Q(y))"])
+def test_label_escaping_the_fragment_is_rejected(text):
+    # Expanded to a leaf along first children, so the check cannot be dodged
+    # by a label that takes the end or the and rule.
+    plan = plan_for("E y [] P(y)")
+    with pytest.raises(FragmentError, match="escaped"):
+        lab = make_label((parse(text),), frozenset(), plan)
+        while (app := expand_constant(lab, plan)) is not None:
+            lab = app.children[0]
 
 
 def test_expand_forall_diamond_over_domain():

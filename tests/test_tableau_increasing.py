@@ -2,9 +2,9 @@
 
 import pytest
 
-from bfoml import (FragmentError, ResourceLimitError, Var, Verdict, check,
-                   decide_constant_eb, decide_increasing, enumerate_sat, parse,
-                   validate)
+from bfoml import (FragmentError, InternalSolverError, ResourceLimitError, Var,
+                   Verdict, check, decide_constant_eb, decide_increasing,
+                   enumerate_sat, parse, validate)
 from bfoml.fuzz import FormulaGenerator
 from bfoml.tableau_increasing import expand, extract_model, make_label
 
@@ -51,6 +51,11 @@ def test_expand_box_bodies_reach_every_child():
 
 def test_expand_leaf():
     assert expand(label(["P(z)", "!Q(z,z)"], ["z"])) is None
+
+
+def test_label_outside_the_nnf_grammar_is_rejected():
+    with pytest.raises(InternalSolverError, match="NNF grammar"):
+        expand(make_label((parse("(P(x) -> Q(x))"),), frozenset({Var("x")})))
 
 
 def test_expand_all_four_bundle_groups_at_once():
