@@ -33,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, permutations, product
 
-from .errors import (ArgumentError, BfomlError, InternalSolverError,
-                     ResourceLimitError)
+from .errors import ArgumentError, BfomlError, InternalSolverError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, cleanse, free_vars, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
-from .limits import resolve_budget
+from .limits import Budget
 
 SEMANTICS = ("increasing", "constant")
 
@@ -47,19 +46,6 @@ SEMANTICS = ("increasing", "constant")
 class EnumerationResult:
     model: KripkeModel
     root: str
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise ResourceLimitError(
-                "bounded model search ran out of budget; result is inconclusive")
 
 
 def _reachable_from_root(n: int, edges: frozenset[tuple[int, int]]) -> bool:
@@ -94,7 +80,7 @@ def _is_canonical(n: int, edges: frozenset[tuple[int, int]],
 
 def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
             delta: dict[str, tuple[str, ...]], succs: dict[str, tuple[str, ...]],
-            budget: _Budget):
+            budget: Budget):
     """Expand the NNF formula over a fixed frame into a propositional DAG.
 
     Nodes are True, False, ("lit", sign, atom) with atom = (world, pred,
@@ -160,7 +146,7 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
     return build(formula, root, sigma0)
 
 
-def _sat_assignment(root_node, budget: _Budget) -> dict | None:
+def _sat_assignment(root_node, budget: Budget) -> dict | None:
     """Backtracking search for a satisfying assignment of the ground atoms."""
     if root_node is True:
         return {}
@@ -235,7 +221,7 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     for name, bound in (("max_worlds", max_worlds), ("max_domain", max_domain)):
         if bound < 1:
             raise BfomlError(f"{name} must be at least 1, got {bound}")
-    tracker = _Budget(resolve_budget(budget))
+    tracker = Budget(budget, "bounded model search ran out of budget; result is inconclusive")
 
     psi = cleanse(to_nnf(formula))
     fv_names = [str(v) for v in sorted(free_vars(psi), key=var_key)]
@@ -269,7 +255,7 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
 _FRAME_LOGS: dict[tuple[int, int, str, int], tuple[list, object]] = {}
 
 
-def _frames(shape: tuple[int, int, str, int], tracker: _Budget):
+def _frames(shape: tuple[int, int, str, int], tracker: Budget):
     """The canonical reachable frames of a shape as (edges, delta), in order.
 
     Reads the shape's log, extending it from _frame_search when this call

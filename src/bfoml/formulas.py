@@ -11,29 +11,36 @@ All values here are immutable; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import repeat
 from typing import Iterator
 
-from .errors import CaptureError
+from .errors import ArgumentError, CaptureError
 
 
 @dataclass(frozen=True)
 class Var:
-    """A variable: a lowercase-initial name plus an optional freshness index.
+    """A variable: a name as the parser reads it plus an optional index >= 0.
 
-    Generated variables carry an index and render as ``x^3``; source-level
-    variables normally have no index.  ``x^3`` is valid concrete syntax, so
-    printing and reparsing a generated variable is lossless.  The hash is
-    computed once per instance, and a pickle carries the fields alone, so a
-    loaded variable rehashes in its own process.
+    Anything else raises ArgumentError, so printing and reparsing a variable
+    is lossless and no two variables print alike.  Generated variables carry
+    an index and render as ``x^3``.  The hash is computed once per instance,
+    and a pickle carries the fields alone, so a loaded variable rehashes in
+    its own process.
     """
 
     name: str
     index: int | None = None
 
     def __post_init__(self) -> None:
+        # str methods, not a regex: every parsed variable token builds a Var.
+        name, index = self.name, self.index
+        if not (type(name) is str and name.isidentifier() and name.isascii()
+                and name[0].islower()):
+            raise ArgumentError(f"variable name must match [a-z][A-Za-z0-9_]*, got {name!r}")
+        if index is not None and not (type(index) is int and index >= 0):
+            raise ArgumentError(f"variable index must be None or an int >= 0, got {index!r}")
         # Kept outside the fields, as the formula nodes keep theirs; it equals
         # the dataclass hash of (name, index).
         self.__dict__["_hash"] = hash((self.name, self.index))
@@ -79,6 +86,15 @@ class Fragment(Enum):
     FULL = "full"
 
 
+# The bundles of each fragment, in the order the formula generator draws them.
+FRAGMENT_BUNDLES: dict[Fragment, tuple[tuple[Quant, Mod], ...]] = {
+    Fragment.EXISTS_BOX: ((Quant.EXISTS, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)),
+    Fragment.EXISTS_DIAMOND: ((Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)),
+    Fragment.FULL: ((Quant.EXISTS, Mod.BOX), (Quant.EXISTS, Mod.DIAMOND),
+                    (Quant.FORALL, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)),
+}
+
+
 class Formula:
     """Base class of all formula nodes.
 
@@ -115,6 +131,13 @@ class Formula:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__dataclass_fields__)
+
+    # Reached from And, Or and Implies, not dataclasses themselves, for non-fields.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _node(cls):
@@ -164,7 +187,7 @@ class Binary(Formula):
     """Shared constructor of the binary connectives.
 
     Each subclass sets ``op``, its printed symbol, as a plain class attribute
-    and so not a field.
+    and so not a field, and inherits the rest.
     """
 
     left: Formula
@@ -177,17 +200,14 @@ class Binary(Formula):
                      max(l._modal_depth, r._modal_depth), 1 + l._connectives + r._connectives)
 
 
-@_node
 class And(Binary):
     op = "&"
 
 
-@_node
 class Or(Binary):
     op = "|"
 
 
-@_node
 class Implies(Binary):
     """Surface sugar; eliminated by to_nnf before any tableau work."""
 
@@ -332,10 +352,10 @@ def to_nnf(f: Formula) -> Formula:
 
 def _nnf(f: Formula, negated: bool) -> Formula:
     """NNF of f, or of !f when negated: one pass that carries the polarity."""
-    if isinstance(f, Not):
+    while isinstance(f, Not):
         if isinstance(f.body, Atom) and not negated:
             return f
-        return _nnf(f.body, not negated)
+        f, negated = f.body, not negated
     if isinstance(f, Implies):
         # (a -> b) is (!a | b); its negation is (a & !b).
         return (And if negated else Or)(_nnf(f.left, not negated), _nnf(f.right, negated))
@@ -365,19 +385,14 @@ def is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.body, Atom))
 
 
-def fresh_var(base: Var, used: set[Var] | frozenset[Var]) -> Var:
-    """Smallest-index fresh variable sharing the base's name."""
+def fresh_like(base: Var, used: set[Var] | frozenset[Var]) -> Var:
+    """base itself if unused, otherwise the smallest-index unused variant of its name."""
+    if base not in used:
+        return base
     k = 1
     while Var(base.name, k) in used:
         k += 1
     return Var(base.name, k)
-
-
-def fresh_like(base: Var, used: set[Var] | frozenset[Var]) -> Var:
-    """base itself if unused, otherwise the smallest indexed variant."""
-    if base not in used:
-        return base
-    return fresh_var(base, used)
 
 
 def is_clean(f: Formula) -> bool:
@@ -412,7 +427,7 @@ def cleanse(f: Formula) -> Formula:
         if isinstance(g, Bundle):
             v = g.var
             if v in free or v in taken:
-                nv = fresh_var(v, used)
+                nv = fresh_like(v, used)
                 used.add(nv)
             else:
                 nv = v
@@ -453,8 +468,9 @@ def exists_box_vars(f: Formula) -> frozenset[Var]:
         if isinstance(g, Bundle) and g.quant is Quant.EXISTS and g.mod is Mod.BOX)
 
 
-_EB_KINDS = {(Quant.EXISTS, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)}
-_ED_KINDS = {(Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)}
+# classify tests subsets against sets built once.
+_SINGLE_PAIR_FRAGMENTS = [(fragment, frozenset(FRAGMENT_BUNDLES[fragment]))
+                          for fragment in (Fragment.EXISTS_BOX, Fragment.EXISTS_DIAMOND)]
 
 
 def classify(f: Formula) -> Fragment:
@@ -467,8 +483,7 @@ def classify(f: Formula) -> Fragment:
     constant-domain procedure accepts it.
     """
     kinds = {(g.quant, g.mod) for g in subformulas(f) if isinstance(g, Bundle)}
-    if kinds <= _EB_KINDS:
-        return Fragment.EXISTS_BOX
-    if kinds <= _ED_KINDS:
-        return Fragment.EXISTS_DIAMOND
+    for fragment, bundles in _SINGLE_PAIR_FRAGMENTS:
+        if kinds <= bundles:
+            return fragment
     return Fragment.FULL

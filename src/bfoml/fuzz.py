@@ -20,18 +20,14 @@ from itertools import product
 
 from .enumeration import enumerate_sat, require_semantics
 from .errors import ArgumentError, ResourceLimitError
-from .formulas import (And, Atom, Bundle, Formula, Mod, Not, Or, Predicate,
-                       Quant, Var, cleanse, formula_key, var_key)
+from .formulas import (FRAGMENT_BUNDLES, And, Atom, Bundle, Formula, Fragment, Not, Or,
+                       Predicate, Var, cleanse, formula_key, var_key)
 from .kripke import KripkeModel
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
 
-_BUNDLE_KINDS = {
-    "full": ((Quant.EXISTS, Mod.BOX), (Quant.EXISTS, Mod.DIAMOND),
-             (Quant.FORALL, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)),
-    "eb": ((Quant.EXISTS, Mod.BOX), (Quant.FORALL, Mod.DIAMOND)),
-    "ed": ((Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX)),
-}
+# The generator's fragment names.
+_FRAGMENTS = {"full": Fragment.FULL, "eb": Fragment.EXISTS_BOX, "ed": Fragment.EXISTS_DIAMOND}
 # The predicate pool and size bounds every generated formula and model shares.
 _PREDICATES = (Predicate("P", 1), Predicate("Q", 2))
 _MAX_MODAL_DEPTH = 3
@@ -44,10 +40,10 @@ class FormulaGenerator:
 
     def __init__(self, seed: int, fragment: str = "full",
                  variables: tuple[str, ...] = ("x", "y", "u", "v")):
-        if fragment not in _BUNDLE_KINDS:
-            raise ArgumentError(f"fragment must be one of {sorted(_BUNDLE_KINDS)}")
+        if fragment not in _FRAGMENTS:
+            raise ArgumentError(f"fragment must be one of {sorted(_FRAGMENTS)}")
         self.rng = random.Random(seed)
-        self.kinds = _BUNDLE_KINDS[fragment]
+        self.kinds = FRAGMENT_BUNDLES[_FRAGMENTS[fragment]]
         self.variables = tuple(Var(n) for n in variables)
 
     def formula(self) -> Formula:

@@ -3,9 +3,10 @@
 A model carries a finite set of worlds, a finite global domain, an
 accessibility relation, a nonempty local domain per world that grows along
 accessibility edges, and a per-world interpretation of every predicate.
-Worlds and domain elements are plain strings.  Models and assignments are
-immutable after construction and evaluation is pure, so values can be shared
-freely across threads.
+Worlds and domain elements are plain strings.  A model's fields cannot be
+reassigned, but ``local`` and ``rho`` are plain dicts: a caller can change
+them, and a model is not hashable.  Nothing here mutates a model or an
+assignment, so one that no caller changes can be shared across threads.
 
 The JSON exchange format (used by the CLI and emitted by the solvers)::
 

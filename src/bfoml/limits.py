@@ -1,10 +1,10 @@
-"""Work-budget defaults shared by the solvers and the CLI."""
+"""The work budget that both solvers spend, and its defaults."""
 
 from __future__ import annotations
 
 import os
 
-from .errors import BfomlError
+from .errors import BfomlError, ResourceLimitError
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -29,3 +29,21 @@ def resolve_budget(budget: int | None) -> int:
     if value < 1:
         raise BfomlError(f"BFOML_BUDGET must be at least 1, got {value}")
     return value
+
+
+class Budget:
+    """Work ``spent`` against a limit resolved as resolve_budget does; spending
+    past the limit raises ResourceLimitError(message).  A budget can only stop
+    a search, never change the verdict or model it would reach."""
+
+    __slots__ = ("limit", "message", "spent")
+
+    def __init__(self, limit: int | None, message: str):
+        self.limit = resolve_budget(limit)
+        self.message = message
+        self.spent = 0
+
+    def spend(self, amount: int = 1) -> None:
+        self.spent += amount
+        if self.spent > self.limit:
+            raise ResourceLimitError(self.message)

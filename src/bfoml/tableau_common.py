@@ -23,7 +23,7 @@ from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, boolean_connective_count, bound_vars,
                        formula_key, free_vars, is_literal, modal_depth, var_key)
 from .kripke import KripkeModel
-from .limits import resolve_budget
+from .limits import Budget
 
 
 class Verdict(Enum):
@@ -200,8 +200,7 @@ class Search:
     letter: str
 
     def __init__(self, budget: int | None, tracing: bool):
-        self.remaining = resolve_budget(budget)
-        self.nodes = 0
+        self.budget = Budget(budget, "tableau node budget exhausted")
         self.max_depth = 0
         self.trace: list[str] | None = [] if tracing else None
         # label -> (world that solved it, its outcome)
@@ -213,12 +212,6 @@ class Search:
     def local_domain(self, tracked: frozenset[Var]) -> frozenset[Var]:
         """The variables a world records, given its tracked set."""
         return tracked
-
-    def spend(self) -> None:
-        self.nodes += 1
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ResourceLimitError("tableau node budget exhausted")
 
     def emit(self, depth: int, world: str, label: Label, note: str) -> None:
         if self.trace is not None:
@@ -239,7 +232,7 @@ class Search:
         self.max_depth = max(self.max_depth, depth)
         seen = self.solved.get(label)
         if seen is not None:
-            self.spend()
+            self.budget.spend()
             first, node = seen
             outcome = "closed" if node is None else "open"
             self.emit(depth, world, label, f"reuses {first}, {outcome}")
@@ -250,7 +243,7 @@ class Search:
 
     def _solve_unseen(self, label: Label, world: str, depth: int) -> TableauNode | None:
         while True:
-            self.spend()
+            self.budget.spend()
             clash = find_clash(label.gamma)
             if clash is not None:
                 self.emit(depth, world, label, f"closed: {clash}")
@@ -286,7 +279,7 @@ class Search:
         trace = tuple(self.trace) if self.trace is not None else None
         verdict = Verdict.UNSAT if completion is None else Verdict.SAT
         return DecisionResult(verdict, model, None if model is None else "r", assignment,
-                              theta, self.nodes, self.max_depth, completion, trace)
+                              theta, self.budget.spent, self.max_depth, completion, trace)
 
 
 def read_model(tableau: TableauNode) -> KripkeModel:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import FragmentError, InternalSolverError
-from .formulas import (Bundle, Formula, Fragment, Mod, Quant, Var, all_vars,
-                       classify, cleanse, exists_box_vars, formula_key,
-                       free_vars, fresh_like, fresh_var, is_clean, is_nnf,
-                       modal_depth, substitute, to_nnf, var_key)
+from .formulas import (FRAGMENT_BUNDLES, Bundle, Formula, Fragment, Mod, Quant, Var,
+                       all_vars, classify, cleanse, exists_box_vars, formula_key, free_vars,
+                       fresh_like, is_clean, is_nnf, modal_depth, substitute, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
 from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
                              TableauNode, apply_rule, assert_free_vars_tracked,
@@ -31,15 +30,11 @@ from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
 # Not called here; bench/tracing.py rebinds these names in this module.
 from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
-# The bundles outside the exists-box fragment.
-_ESCAPED = ((Quant.EXISTS, Mod.DIAMOND), (Quant.FORALL, Mod.BOX))
-
 
 @dataclass(frozen=True)
 class ConstantDomainPlan:
     """Everything fixed before constant-domain tableau construction starts."""
 
-    depth: int
     pools: dict[Var, tuple[Var, ...]]
     domain: frozenset[Var]
 
@@ -58,20 +53,18 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
             f"constant-domain procedure needs the exists-box fragment, got {fragment.value}")
     if not (is_nnf(theta) and is_clean(theta)):
         raise InternalSolverError("build_domain expects a clean NNF input")
-    h = modal_depth(theta)
     used = set(all_vars(theta))
     pools: dict[Var, tuple[Var, ...]] = {}
     for x in sorted(exists_box_vars(theta), key=var_key):
         pool = []
-        while len(pool) < h:
-            candidate = fresh_var(x, used)
-            used.add(candidate)
-            pool.append(candidate)
+        for _ in range(modal_depth(theta)):
+            pool.append(fresh_like(x, used))
+            used.add(pool[-1])
         pools[x] = tuple(pool)
     extra = fresh_like(Var("z"), used)
     domain = frozenset(free_vars(theta)) | frozenset(
         v for pool in pools.values() for v in pool) | {extra}
-    return ConstantDomainPlan(h, pools, domain)
+    return ConstantDomainPlan(pools, domain)
 
 
 def make_label(formulas, used: frozenset[Var], plan: ConstantDomainPlan) -> Label:
@@ -79,8 +72,9 @@ def make_label(formulas, used: frozenset[Var], plan: ConstantDomainPlan) -> Labe
     gamma = canonical_gamma(formulas)
     assert_free_vars_tracked(gamma, plan.domain)
     assert_vars_only_free(gamma, plan.domain)
+    allowed = FRAGMENT_BUNDLES[Fragment.EXISTS_BOX]
     for f in gamma:
-        if isinstance(f, Bundle) and (f.quant, f.mod) in _ESCAPED:
+        if isinstance(f, Bundle) and (f.quant, f.mod) not in allowed:
             raise FragmentError("label escaped the exists-box fragment")
     return Label(gamma, used)
 
@@ -90,14 +84,10 @@ def branch(label: Label, bundles, plan: ConstantDomainPlan) -> RuleApplication:
     witnesses: dict[Var, Var] = {}
     exists_box = bundles[Quant.EXISTS, Mod.BOX]
     for b in exists_box:
-        pool = plan.pools[b.var]
-        available = [v for v in pool if v not in label.vars]
+        available = [v for v in plan.pools[b.var] if v not in label.vars]
         if not available:
             raise InternalSolverError(
                 f"witness pool for {b.var} exhausted; depth bound violated")
-        if len(pool) - len(available) > plan.depth - 1:
-            raise InternalSolverError(
-                f"more than depth-1 pool members of {b.var} consumed on one path")
         witnesses[b.var] = available[0]
     box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in exists_box]
     new_used = label.vars | set(witnesses.values())

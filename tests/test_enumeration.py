@@ -7,6 +7,9 @@ import pytest
 from bfoml import (ArgumentError, BfomlError, ResourceLimitError, check,
                    enumerate_sat, enumeration, fuzz, identity_assignment, parse)
 from bfoml.formulas import cleanse, free_vars, to_nnf, var_key
+from bfoml.limits import Budget
+
+BUDGET_OUT = "bounded model search ran out of budget; result is inconclusive"
 
 FOOTNOTE_PAIR = "(A x [] A y [] !P(x) & A z [] E w <> P(w))"
 SERIAL_FOOTNOTE_PAIR = "(E u <> T & " + FOOTNOTE_PAIR + ")"
@@ -140,7 +143,7 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
 
 
 def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
-    tracker = enumeration._Budget(budget)
+    tracker = Budget(budget, BUDGET_OUT)
     psi = cleanse(to_nnf(formula))
     fv_names = [str(v) for v in sorted(free_vars(psi), key=var_key)]
     sigma0 = identity_assignment(free_vars(psi))
@@ -242,14 +245,14 @@ def test_interrupted_fill_leaves_later_calls_correct(monkeypatch):
 ])
 def test_log_equals_streaming_frame_sequence(shape):
     enumeration._FRAME_LOGS.pop(shape, None)
-    counter = enumeration._Budget(10 ** 9)
-    expected = [(10 ** 9 - counter.remaining, edges, delta)
+    counter = Budget(10 ** 9, BUDGET_OUT)
+    expected = [(counter.spent, edges, delta)
                 for edges, delta in reference_frames(*shape, counter)]
-    expected.append((10 ** 9 - counter.remaining, None, None))
-    tracker = enumeration._Budget(10 ** 9)
-    got = [(10 ** 9 - tracker.remaining, edges, delta)
+    expected.append((counter.spent, None, None))
+    tracker = Budget(10 ** 9, BUDGET_OUT)
+    got = [(tracker.spent, edges, delta)
            for edges, delta in enumeration._frames(shape, tracker)]
-    got.append((10 ** 9 - tracker.remaining, None, None))
+    got.append((tracker.spent, None, None))
     assert got == expected
     log, _ = enumeration._FRAME_LOGS[shape]
     assert len(log) == len(expected)

@@ -124,6 +124,18 @@ def test_kept_attributes_do_not_show():
 KEPT = ("_key", "_free_vars", "_bound_vars", "_modal_depth", "_connectives")
 
 
+@pytest.mark.parametrize("text", ["(P(x) & Q(x,y))", "(P(x) | Q(x,y))", "(P(x) -> Q(x,y))"])
+def test_binary_nodes_refuse_every_assignment(text):
+    # And, Or and Implies inherit their dataclass from Binary.
+    f = parse(text)
+    for name in ("left", "_key", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, f)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(f, name)
+    assert repr(f).startswith(f"{type(f).__name__}(left=")
+
+
 def test_pickle_carries_fields_only():
     f = parse("(E x [] P(x) & A y <> !Q(x,y))")
     hash(f)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bfoml import (CaptureError, Fragment, Var, ast_size, atom, classify,
+from bfoml import (ArgumentError, CaptureError, Fragment, Var, ast_size, atom, classify,
                    cleanse, exists_box_vars, format_formula, free_vars,
                    is_clean, is_nnf, modal_depth, parse, subformulas, substitute,
                    to_nnf)
@@ -161,6 +161,19 @@ def test_var_rendering_with_index():
     assert str(Var("x")) == "x"
     assert str(Var("x", 3)) == "x^3"
     assert parse("P(x^3)") == atom("P", Var("x", 3))
+
+
+@pytest.mark.parametrize("args", [("x^1",), ("X",), ("",), ("x y",), ("x", -1), ("x", True)])
+def test_var_takes_only_what_the_parser_reads(args):
+    # A name holding "^" printed like an indexed variable, so the two
+    # formulas compared equal although their variables did not.
+    with pytest.raises(ArgumentError):
+        Var(*args)
+
+
+def test_every_var_prints_text_that_parses_back():
+    for v in (Var("x"), Var("x", 0), Var("x_1Y", 12)):
+        assert parse(f"P({v})") == atom("P", v)
 
 
 @pytest.mark.parametrize("walk", [

@@ -1,5 +1,9 @@
 """Differential harness: generator hygiene and cross-procedure agreement."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bfoml import Fragment, Verdict, classify, decide_increasing, is_clean, is_nnf
@@ -13,6 +17,29 @@ def test_generator_is_deterministic():
     a = [FormulaGenerator(99).formula() for _ in range(50)]
     b = [FormulaGenerator(99).formula() for _ in range(50)]
     assert a == b
+
+
+# 200 draws of seed 5 per fragment name; a bundle table whose order depended
+# on the hash seed would change the stream.
+GENERATOR_STREAM = """
+import hashlib
+from bfoml.fuzz import FormulaGenerator
+digest = hashlib.sha256()
+for fragment in ("full", "eb", "ed"):
+    gen = FormulaGenerator(5, fragment)
+    for _ in range(200):
+        digest.update(str(gen.formula()).encode())
+print(digest.hexdigest()[:16])
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_generator_streams_do_not_depend_on_the_hash_seed(hash_seed):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", GENERATOR_STREAM], capture_output=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.decode().strip() == "9a036e52d11d60ef"
 
 
 def test_generator_emits_clean_nnf():

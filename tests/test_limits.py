@@ -2,9 +2,12 @@
 
 import pytest
 
-from bfoml import (BfomlError, ResourceLimitError, decide_constant_eb,
-                   decide_increasing, enumerate_sat, parse)
+from bfoml import (BfomlError, Fragment, ResourceLimitError, classify,
+                   decide_constant_eb, decide_increasing, enumerate_sat, parse)
 from bfoml.fuzz import run_oracle_agreement
+from bfoml.limits import Budget
+
+from golden import GOLDEN
 
 # Each call needs more than one unit of work.
 TEXT = "(P(x) & E y [] Q(x,y))"
@@ -75,3 +78,42 @@ def test_oracle_agreement_rejects_a_zero_oracle_budget():
     with pytest.raises(BfomlError) as caught:
         run_oracle_agreement(1, 20, oracle_budget=0)
     assert not isinstance(caught.value, ResourceLimitError)
+
+
+def test_budget_counts_what_is_spent_and_stops_past_its_limit():
+    budget = Budget(3, "out of work")
+    budget.spend()
+    budget.spend(2)
+    assert budget.spent == 3
+    with pytest.raises(ResourceLimitError, match="^out of work$"):
+        budget.spend()
+    assert budget.spent == 4
+
+
+def test_budget_resolves_its_limit_as_resolve_budget_does(monkeypatch):
+    monkeypatch.setenv("BFOML_BUDGET", "5")
+    assert Budget(None, "m").limit == 5
+    assert Budget(2, "m").limit == 2
+    with pytest.raises(BfomlError, match="budget must be at least 1, got 0"):
+        Budget(0, "m")
+
+
+def test_a_tableau_budget_of_exactly_the_nodes_expanded_suffices():
+    # Every golden decision, under each procedure that accepts it, that
+    # expands at least two nodes: one node fewer runs out of budget.
+    checked = 0
+    for _, text, _ in GOLDEN:
+        f = parse(text)
+        procedures = [decide_increasing]
+        if classify(f) is Fragment.EXISTS_BOX:
+            procedures.append(decide_constant_eb)
+        for decide in procedures:
+            full = decide(f)
+            if full.nodes_expanded < 2:
+                continue
+            checked += 1
+            assert decide(f, budget=full.nodes_expanded).verdict is full.verdict
+            with pytest.raises(ResourceLimitError) as caught:
+                decide(f, budget=full.nodes_expanded - 1)
+            assert str(caught.value) == "tableau node budget exhausted"
+    assert checked == 65

@@ -54,6 +54,12 @@ def test_deep_formula_built_in_code_walks_without_recursion():
     assert len(list(subformulas(f))) == 3002
 
 
+def test_nnf_walks_a_negation_chain_built_in_code_without_recursion():
+    # 3,000 negations cancel in pairs.
+    assert to_nnf(deep_negations()) == parse("E y [] P(x)")
+    assert decide_increasing(deep_negations()).is_sat
+
+
 def test_deep_fo_matrix_built_in_code_constructs():
     matrix = Atom(R_PRED, (Var("x"), Var("x")))
     for _ in range(3000):

@@ -20,7 +20,6 @@ def names(vs):
 
 def test_build_domain_single_box():
     plan = plan_for("E x [] P(x)")
-    assert plan.depth == 1
     assert names(plan.pools) == ["x"]
     assert names(plan.pools[Var("x")]) == ["x^1"]
     assert names(plan.domain) == ["x^1", "z"]
