@@ -25,17 +25,24 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import FragmentError, InternalSolverError, ModelFormatError, ParseError
+from .errors import FragmentError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
-                       Predicate, Quant, TOP, Var, _children, _rebuild,
-                       format_formula, free_vars, fresh_like, subformulas,
-                       var_key)
+                       Predicate, Quant, TOP, Var, format_formula, free_vars,
+                       fresh_like, subformulas, var_key)
 from .kripke import KripkeModel
 from .parser import _Parser, parse_var_name, tokenize
 
 R_PRED = Predicate("R", 2)
 P_PRED = Predicate("P", 1)
 Q_PRED = Predicate("Q", 1)
+
+
+def _check_matrix(matrix: Formula) -> None:
+    for g in subformulas(matrix):
+        if not (isinstance(g, (Not, And, Or, Implies))
+                or (isinstance(g, Atom) and g.pred == R_PRED)):
+            raise FragmentError(
+                f"an FO(R) matrix holds only R/2 atoms and !, &, |, ->; found {g}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,7 @@ class FOSentence:
     matrix: Formula
 
     def __post_init__(self) -> None:
-        for g in subformulas(self.matrix):
-            if not (isinstance(g, (Not, And, Or, Implies))
-                    or (isinstance(g, Atom) and g.pred == R_PRED)):
-                raise FragmentError(
-                    f"an FO(R) matrix holds only R/2 atoms and !, &, |, ->; found {g}")
+        _check_matrix(self.matrix)
 
     def __str__(self) -> str:
         return format_fo(self)
@@ -202,35 +205,32 @@ def _fresh_stream(used: set[Var]) -> Iterator[Var]:
         yield fresh
 
 
-def _desugar(m: Formula) -> Formula:
-    if isinstance(m, Or):
-        return Not(And(Not(_desugar(m.left)), Not(_desugar(m.right))))
-    if isinstance(m, Implies):
-        return Not(And(_desugar(m.left), Not(_desugar(m.right))))
-    return _rebuild(m, tuple(map(_desugar, _children(m))))
-
-
 def _translate_matrix(m: Formula, fresh: Iterator[Var]) -> Formula:
+    """Encode a checked matrix, left before right; or and implies become
+    !(!l & !r) and !(l & !r)."""
     if isinstance(m, Atom):
         x, y = m.args
         return Bundle(Quant.EXISTS, Mod.DIAMOND, next(fresh),
                       And(Atom(P_PRED, (x,)), Atom(Q_PRED, (y,))))
     if isinstance(m, Not):
         return Not(_translate_matrix(m.body, fresh))
-    if not isinstance(m, And):
-        raise InternalSolverError(
-            f"translation expects a desugared matrix, got {type(m).__name__}")
-    return And(_translate_matrix(m.left, fresh),
-               _translate_matrix(m.right, fresh))
+    left = _translate_matrix(m.left, fresh)
+    right = _translate_matrix(m.right, fresh)
+    if isinstance(m, And):
+        return And(left, right)
+    if isinstance(m, Or):
+        return Not(And(Not(left), Not(right)))
+    return Not(And(left, Not(right)))
 
 
 def translate_qf(matrix: Formula) -> Formula:
-    """Encode a quantifier-free matrix; or and implies are expanded first.
+    """Encode a quantifier-free matrix; or and implies are expanded.
 
     Each R atom gets its own fresh diamond variable so the result is clean.
+    A matrix outside the FO(R) grammar raises FragmentError.
     """
-    used = set(free_vars(matrix))
-    return _translate_matrix(_desugar(matrix), _fresh_stream(used))
+    _check_matrix(matrix)
+    return _translate_matrix(matrix, _fresh_stream(set(free_vars(matrix))))
 
 
 def translate_sentence(sentence: FOSentence) -> Formula:
@@ -245,7 +245,7 @@ def translate_sentence(sentence: FOSentence) -> Formula:
     used = set(free_vars(sentence.matrix)) | {v for _, v in sentence.prefix}
     fresh = _fresh_stream(used)
 
-    psi1 = _translate_matrix(_desugar(sentence.matrix), fresh)
+    psi1 = _translate_matrix(sentence.matrix, fresh)
     for q, v in reversed(sentence.prefix):
         mod = Mod.DIAMOND if q is Quant.EXISTS else Mod.BOX
         psi1 = Bundle(q, mod, v, psi1)

@@ -64,8 +64,19 @@ def var_key(v: Var) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Predicate:
+    """A name as the parser reads it and an arity >= 0, so every atom parses back."""
+
     name: str
     arity: int
+
+    def __post_init__(self) -> None:
+        # str methods, not a regex: every parsed atom builds a Predicate.
+        name, arity = self.name, self.arity
+        if not (type(name) is str and name.isidentifier() and name.isascii()
+                and name[0].isupper()):
+            raise ArgumentError(f"predicate name must match [A-Z][A-Za-z0-9_]*, got {name!r}")
+        if not (type(arity) is int and arity >= 0):
+            raise ArgumentError(f"predicate arity must be an int >= 0, got {arity!r}")
 
 
 class Quant(Enum):
@@ -155,7 +166,7 @@ class Atom(Formula):
 
     def __post_init__(self) -> None:
         if len(self.args) != self.pred.arity:
-            raise ValueError(
+            raise ArgumentError(
                 f"atom {self.pred.name} given {len(self.args)} arguments, arity is {self.pred.arity}")
         key = f"{self.pred.name}({','.join(str(a) for a in self.args)})"
         self._derive(key, frozenset(self.args), frozenset(), 0, 0)

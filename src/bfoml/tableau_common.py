@@ -1,9 +1,10 @@
 """The tableau engine that both decision procedures run on.
 
-It holds the tableau types, the rule order with the and/or/end rules, the
-depth-first search and the model read-off.  A procedure supplies its label
-constructor, its branching rule and, in a ``Search`` subclass, the local
-domain a world records.  A label is checked once, when it is built.
+It holds the tableau types, the or rule, the depth-first search and the
+model read-off.  A procedure supplies its label constructor, its branching
+rule and, in a ``Search`` subclass, the local domain a world records.  A
+label is checked once, when it is built; building it splits its
+conjunctions, which is sound because the and rule is invertible.
 
 The search solves each distinct label once and shares its outcome, so an
 open completion is a DAG: a node may have several parents.  The read-off
@@ -68,8 +69,8 @@ class Label:
     """(canonical formula set, tracked variables: witnesses or used ones).
 
     A label's outcome depends on nothing else, so it is the search's memo key.
-    Building it checks that each formula is an and, an or, a bundle, F or a
-    literal, and derives its termination measure once, as ``measure``.
+    Building it checks that each formula is an or, a bundle, F or a literal,
+    and derives its termination measure once, as ``measure``.
     """
 
     gamma: tuple[Formula, ...]
@@ -77,7 +78,7 @@ class Label:
 
     def __post_init__(self):
         for f in self.gamma:
-            if not (isinstance(f, (And, Or, Bundle, Bot)) or is_literal(f)):
+            if not (isinstance(f, (Or, Bundle, Bot)) or is_literal(f)):
                 raise InternalSolverError(
                     f"label holds a formula outside the NNF grammar: {f}")
         object.__setattr__(self, "measure", label_measure(self.gamma))
@@ -85,14 +86,20 @@ class Label:
 
 @dataclass(frozen=True)
 class RuleApplication:
-    rule: str  # "and" | "or" | "br" | "end"
+    rule: str  # "or" | "br"
     children: tuple[Label, ...]
     vars: frozenset[Var] | None = None  # on "br", the premise's enlarged tracked set
 
 
 def canonical_gamma(formulas) -> tuple[Formula, ...]:
-    """Deduplicate, drop T (it never clashes), and order canonically."""
-    out = {formula_key(f): f for f in formulas if not isinstance(f, Top)}
+    """Split each and, deduplicate, drop T (it never clashes), order canonically."""
+    todo, out = list(formulas), {}
+    while todo:
+        f = todo.pop()
+        if isinstance(f, And):
+            todo += (f.left, f.right)
+        elif not isinstance(f, Top):
+            out[formula_key(f)] = f
     return tuple(out[k] for k in sorted(out))
 
 
@@ -116,29 +123,25 @@ def find_clash(gamma: tuple[Formula, ...]) -> str | None:
 def apply_rule(label: Label, make, branch) -> RuleApplication | None:
     """Apply the first rule that fits the label; None on an open leaf.
 
-    Split the leftmost and, else branch on the leftmost or, else, when a
-    diamond bundle is left, apply the procedure's ``branch(label, bundles)``,
-    else drop the box bundles.  ``make(formulas, tracked)`` builds a child
-    label; ``bundles`` maps each (quantifier, modality) pair to the label's
-    bundles of that kind, in label order.
+    Branch on the leftmost or, else, when a diamond bundle is left, apply the
+    procedure's ``branch(label, bundles)``.  A label with neither is an open
+    leaf: its box bundles hold vacuously at a world with no successor.
+    ``make(formulas, tracked)`` builds a child label; ``bundles`` maps each
+    (quantifier, modality) pair to the label's bundles of that kind, in
+    label order.
     """
-    gamma, tracked = label.gamma, label.vars
-    for rule, kind in (("and", And), ("or", Or)):
-        for i, f in enumerate(gamma):
-            if isinstance(f, kind):
-                rest = gamma[:i] + gamma[i + 1:]
-                parts = [(f.left, f.right)] if kind is And else [(f.left,), (f.right,)]
-                return RuleApplication(rule, tuple(make(rest + part, tracked)
-                                                   for part in parts))
+    gamma = label.gamma
+    for i, f in enumerate(gamma):
+        if isinstance(f, Or):
+            rest = gamma[:i] + gamma[i + 1:]
+            return RuleApplication("or", (make(rest + (f.left,), label.vars),
+                                          make(rest + (f.right,), label.vars)))
     bundles: defaultdict[tuple[Quant, Mod], list[Bundle]] = defaultdict(list)
     for f in gamma:
         if isinstance(f, Bundle):
             bundles[f.quant, f.mod].append(f)
     if bundles[Quant.EXISTS, Mod.DIAMOND] or bundles[Quant.FORALL, Mod.DIAMOND]:
         return branch(label, bundles)
-    if any(bundles.values()):
-        literals = tuple(f for f in gamma if not isinstance(f, Bundle))
-        return RuleApplication("end", (make(literals, tracked),))
     return None
 
 
@@ -146,9 +149,9 @@ def label_measure(gamma: tuple[Formula, ...]) -> tuple[int, int]:
     """(max bundle nesting, total boolean connectives).
 
     Every rule application strictly decreases this lexicographically: the
-    boolean rules peel one connective without raising nesting, and a
-    branching or end step drops the maximum nesting by at least one even
-    though instantiation may duplicate boolean structure.
+    or rule peels one connective without raising nesting, and a branching
+    step drops the maximum nesting by at least one even though instantiation
+    may duplicate boolean structure.
     """
     rank = max((modal_depth(f) for f in gamma), default=0)
     bools = sum(boolean_connective_count(f) for f in gamma)
@@ -182,11 +185,11 @@ def assert_free_vars_tracked(gamma: tuple[Formula, ...], tracked: frozenset[Var]
 class Search:
     """Depth-first search for an open completion, one budget unit per label.
 
-    Each rule application is checked against the termination measure.  "and"
-    and "end" replace the label, "or" tries its children until one is open,
-    and "br" needs every child open.  Subclasses set ``letter``, the trace's
-    name for the tracked set, implement ``expand`` as one ``apply_rule``
-    call, and may override ``local_domain``.
+    Each rule application is checked against the termination measure.  "or"
+    tries its children until one is open, and "br" needs every child open.
+    Subclasses set ``letter``, the trace's name for the tracked set,
+    implement ``expand`` as one ``apply_rule`` call, and may override
+    ``local_domain``.
 
     Each distinct label is solved once per search: the outcome of every label
     that ``solve`` is called on, an open completion or None, is kept.  The
@@ -242,35 +245,31 @@ class Search:
         return node
 
     def _solve_unseen(self, label: Label, world: str, depth: int) -> TableauNode | None:
-        while True:
-            self.budget.spend()
-            clash = find_clash(label.gamma)
-            if clash is not None:
-                self.emit(depth, world, label, f"closed: {clash}")
-                return None
-            app = self.expand(label)
-            if app is None:
-                self.emit(depth, world, label, "open leaf")
-                return TableauNode(label.gamma, self.local_domain(label.vars), ())
+        self.budget.spend()
+        clash = find_clash(label.gamma)
+        if clash is not None:
+            self.emit(depth, world, label, f"closed: {clash}")
+            return None
+        app = self.expand(label)
+        if app is None:
+            self.emit(depth, world, label, "open leaf")
+            return TableauNode(label.gamma, self.local_domain(label.vars), ())
+        for child in app.children:
+            assert_measure_decreases(label, child)
+        self.emit(depth, world, label, app.rule)
+        if app.rule == "or":
             for child in app.children:
-                assert_measure_decreases(label, child)
-            self.emit(depth, world, label, app.rule)
-            if app.rule in ("and", "end"):
-                label = app.children[0]
-                continue
-            if app.rule == "or":
-                for child in app.children:
-                    node = self.solve(child, world, depth + 1)
-                    if node is not None:
-                        return node
+                node = self.solve(child, world, depth + 1)
+                if node is not None:
+                    return node
+            return None
+        kids = []
+        for i, child in enumerate(app.children):
+            node = self.solve(child, f"{world}.{i}", depth + 1)
+            if node is None:
                 return None
-            kids = []
-            for i, child in enumerate(app.children):
-                node = self.solve(child, f"{world}.{i}", depth + 1)
-                if node is None:
-                    return None
-                kids.append(node)
-            return TableauNode(label.gamma, self.local_domain(app.vars), tuple(kids))
+            kids.append(node)
+        return TableauNode(label.gamma, self.local_domain(app.vars), tuple(kids))
 
     def result(self, theta: Formula, completion: TableauNode | None = None,
                model: KripkeModel | None = None,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bfoml import (Fragment, ParseError, Var, check, classify, cleanse,
+from bfoml import (Fragment, FragmentError, ParseError, Var, check, classify, cleanse,
                    enumerate_sat, is_clean, modal_depth, parse, parse_fo,
                    translate_qf, translate_sentence)
 from bfoml.fo import (FOModel, build_witness_model, fo_check,
@@ -223,14 +223,11 @@ def test_bounded_bridge_on_curated_sentences():
         assert found is None
 
 
-def test_translation_of_an_undesugared_matrix_is_an_internal_error():
-    # Or and implies are expanded before translation; the check survives -O.
-    from bfoml import InternalSolverError
-    from bfoml.fo import _translate_matrix
-    from bfoml.formulas import Or
-    matrix = Or(parse("R(x,y)"), parse("R(y,x)"))
-    with pytest.raises(InternalSolverError):
-        _translate_matrix(matrix, iter([Var("z")]))
+@pytest.mark.parametrize("matrix", ["P(x)", "T", "F", "E y [] R(x,y)", "(R(x,y) & S(y,x))"])
+def test_translate_qf_rejects_a_matrix_outside_fo_r(matrix):
+    # P(x) raised a bare ValueError and T or a bundle an InternalSolverError.
+    with pytest.raises(FragmentError, match="an FO\\(R\\) matrix holds only"):
+        translate_qf(parse(matrix))
 
 
 @pytest.mark.parametrize("matrix", [

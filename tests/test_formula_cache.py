@@ -203,11 +203,17 @@ def test_second_key_renders_nothing(monkeypatch):
 
 def test_measure_check_stays_on():
     tracked = frozenset({Var("x")})
-    premise = Label((parse("(P(x) & Q(x))"),), tracked)
-    child = Label((parse("P(x)"), parse("Q(x)")), tracked)
+    premise = Label((parse("(P(x) | Q(x))"),), tracked)
+    child = Label((parse("P(x)"),), tracked)
     assert_measure_decreases(premise, child)
     with pytest.raises(InternalSolverError, match="failed to decrease"):
         assert_measure_decreases(child, premise)
+
+
+def test_label_refuses_a_conjunction():
+    # Label constructors split every and, so none reaches a rule.
+    with pytest.raises(InternalSolverError, match="outside the NNF grammar"):
+        Label((parse("(P(x) & Q(x))"),), frozenset({Var("x")}))
 
 
 def test_each_label_is_measured_once(monkeypatch):

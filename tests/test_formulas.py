@@ -6,7 +6,7 @@ from bfoml import (ArgumentError, CaptureError, Fragment, Var, ast_size, atom, c
                    cleanse, exists_box_vars, format_formula, free_vars,
                    is_clean, is_nnf, modal_depth, parse, subformulas, substitute,
                    to_nnf)
-from bfoml.formulas import boolean_connective_count
+from bfoml.formulas import Atom, Predicate, boolean_connective_count
 from bfoml.fuzz import FormulaGenerator
 
 
@@ -169,6 +169,25 @@ def test_var_takes_only_what_the_parser_reads(args):
     # formulas compared equal although their variables did not.
     with pytest.raises(ArgumentError):
         Var(*args)
+
+
+@pytest.mark.parametrize("args", [("p", 1), ("P x", 1), ("", 0), ("Pé", 1), ("P", -2),
+                                  ("P", True), ("P", 1.0), (1, 1)])
+def test_predicate_takes_only_what_the_parser_reads(args):
+    # "p" and "P x" printed atoms that did not parse back.
+    with pytest.raises(ArgumentError):
+        Predicate(*args)
+
+
+def test_every_predicate_prints_text_that_parses_back():
+    for name, arity in (("P", 0), ("Q_1x", 2), ("R9", 1)):
+        f = Atom(Predicate(name, arity), tuple(Var(f"x{i}") for i in range(arity)))
+        assert parse(format_formula(f)) == f
+
+
+def test_atom_with_the_wrong_arity_is_an_argument_error():
+    with pytest.raises(ArgumentError, match="given 2 arguments, arity is 1"):
+        Atom(Predicate("P", 1), (Var("x"), Var("y")))
 
 
 def test_every_var_prints_text_that_parses_back():

@@ -5,10 +5,11 @@ import pytest
 from bfoml import ResourceLimitError, decide_increasing, parse
 from bfoml.cli import main
 from bfoml.fo import FOSentence, R_PRED, parse_fo, translate_sentence
-from bfoml.formulas import (Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
+from bfoml.formulas import (And, Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
                             all_vars, ast_size, bound_vars, boolean_connective_count,
                             classify, cleanse, exists_box_vars, free_vars, is_clean,
                             is_nnf, modal_depth, subformulas, substitute, to_nnf)
+from bfoml.tableau_common import canonical_gamma
 
 from test_cli import assert_one_line_error
 
@@ -58,6 +59,16 @@ def test_nnf_walks_a_negation_chain_built_in_code_without_recursion():
     # 3,000 negations cancel in pairs.
     assert to_nnf(deep_negations()) == parse("E y [] P(x)")
     assert decide_increasing(deep_negations()).is_sat
+
+
+def test_a_label_splits_a_conjunction_chain_built_in_code_without_recursion():
+    # 1,500 nested conjunctions, past the recursion limit.
+    f = Atom(Predicate("P", 0), ())
+    for i in range(1500):
+        f = And(Atom(Predicate(f"Q{i}", 0), ()), f)
+    gamma = canonical_gamma((f,))
+    assert len(gamma) == 1501
+    assert all(isinstance(g, Atom) for g in gamma)
 
 
 def test_deep_fo_matrix_built_in_code_constructs():

@@ -38,12 +38,9 @@ def test_collision_trace_names_two_search_worlds_r0():
     result = decide_increasing(parse(COLLISION), tracing=True)
     assert result.trace == (
         "r [or] Γ={((A a <> P(a) & A v <> (Q(v) & !Q(v))) | (A u <> !P(u) & A w <> P(w)))} F={z}",
-        "  r [and] Γ={(A a <> P(a) & A v <> (Q(v) & !Q(v)))} F={z}",
         "  r [br] Γ={A a <> P(a), A v <> (Q(v) & !Q(v))} F={z}",
         "    r.0 [open leaf] Γ={P(z)} F={z}",
-        "    r.1 [and] Γ={(Q(z) & !Q(z))} F={z}",
         "    r.1 [closed: Q(z) and !Q(z)] Γ={!Q(z), Q(z)} F={z}",
-        "  r [and] Γ={(A u <> !P(u) & A w <> P(w))} F={z}",
         "  r [br] Γ={A u <> !P(u), A w <> P(w)} F={z}",
         "    r.0 [open leaf] Γ={!P(z)} F={z}",
         "    r.1 [reuses r.0, open] Γ={P(z)} F={z}",

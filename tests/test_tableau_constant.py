@@ -106,12 +106,11 @@ def test_deep_path_through_own_pool_decides_correctly():
     assert check(result.model, result.root, {}, result.normalized)
 
 
-def test_expand_end_with_only_boxes():
+def test_label_with_boxes_and_no_diamond_is_a_leaf():
+    # Its box bundles hold vacuously at a world with no successor.
     plan = plan_for("(E x [] P(x) & R(v))")
     lab = make_label((parse("E x [] P(x)"), parse("R(v)")), frozenset(), plan)
-    app = expand_constant(lab, plan)
-    assert app.rule == "end"
-    assert app.children[0].gamma == (parse("R(v)"),)
+    assert expand_constant(lab, plan) is None
 
 
 def test_decide_vacuous_box_constant_domain():
@@ -188,7 +187,6 @@ def test_extraction_helper_matches_result():
 def test_trace_text_is_pinned():
     result = decide(parse("(E x [] P(x) & A y <> (!P(y) | Q(y)))"), tracing=True)
     assert result.trace == (
-        "r [and] Γ={(E x [] P(x) & A y <> (!P(y) | Q(y)))} C={}",
         "r [br] Γ={A y <> (!P(y) | Q(y)), E x [] P(x)} C={}",
         "  r.0 [or] Γ={(!P(x^1) | Q(x^1)), P(x^1)} C={x^1}",
         "    r.0 [closed: P(x^1) and !P(x^1)] Γ={!P(x^1), P(x^1)} C={x^1}",

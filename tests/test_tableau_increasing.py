@@ -32,10 +32,9 @@ def test_expand_forall_diamond_instantiates_over_tracked():
     assert child.vars == {Var("z")}
 
 
-def test_expand_end_without_diamonds():
-    app = expand(label(["E x [] P(x)", "Q(z)"], ["z"]))
-    assert app.rule == "end"
-    assert app.children[0].gamma == (parse("Q(z)"),)
+def test_label_with_boxes_and_no_diamond_is_a_leaf():
+    # Its box bundles hold vacuously at a world with no successor.
+    assert expand(label(["E x [] P(x)", "A y [] Q(y)", "Q(z)"], ["z"])) is None
 
 
 def test_expand_box_bodies_reach_every_child():
@@ -157,7 +156,7 @@ def test_budget_error():
 def test_trace_records_rules():
     result = decide_increasing(parse("(E x <> P(x) & Q(y))"), tracing=True)
     text = "\n".join(result.trace)
-    assert "[and]" in text and "[br]" in text and "open leaf" in text
+    assert "[br]" in text and "open leaf" in text
 
 
 def test_nodes_expanded_at_least_one():
@@ -190,11 +189,8 @@ def test_trace_text_is_pinned():
     result = decide_increasing(parse("(Q(y) & (!Q(y) | E x <> (E u [] P(u) & !P(x))))"),
                                tracing=True)
     assert result.trace == (
-        "r [and] Γ={(Q(y) & (!Q(y) | E x <> (E u [] P(u) & !P(x))))} F={y,z}",
         "r [or] Γ={(!Q(y) | E x <> (E u [] P(u) & !P(x))), Q(y)} F={y,z}",
         "  r [closed: Q(y) and !Q(y)] Γ={!Q(y), Q(y)} F={y,z}",
         "  r [br] Γ={E x <> (E u [] P(u) & !P(x)), Q(y)} F={y,z}",
-        "    r.0 [and] Γ={(E u [] P(u) & !P(x))} F={x,y,z}",
-        "    r.0 [end] Γ={!P(x), E u [] P(u)} F={x,y,z}",
-        "    r.0 [open leaf] Γ={!P(x)} F={x,y,z}",
+        "    r.0 [open leaf] Γ={!P(x), E u [] P(u)} F={x,y,z}",
     )
