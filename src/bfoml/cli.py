@@ -25,7 +25,7 @@ from .formulas import (ast_size, classify, cleanse, exists_box_vars,
                        format_formula, free_vars, modal_depth, to_nnf, var_key)
 from .fuzz import run_eb_equivalence, run_oracle_agreement
 from .kripke import check, model_loads, validate
-from .limits import resolve_budget
+from .limits import require_at_least_one, resolve_budget
 from .parser import is_var_name, parse, parse_var_name
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
@@ -238,8 +238,8 @@ def _check_args(args) -> None:
             raise BfomlError(f"--{name} needs a file path, got an empty one")
     for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise BfomlError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        if value is not None:
+            require_at_least_one(f"--{name.replace('_', '-')}", value)
     if getattr(args, "count", 0) < 0:
         raise BfomlError(f"--count must not be negative, got {args.count}")
     if hasattr(args, "budget"):

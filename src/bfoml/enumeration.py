@@ -19,13 +19,16 @@ raises ResourceLimitError when exhausted.
 The frames do not depend on the formula, only on the shape (number of
 worlds, domain size, semantics, number of free variables), so each shape's
 canonical reachable frames are enumerated once per process and kept in a
-log, which later calls replay (see ``_frames``).  The log is filled lazily,
-only as far as some call has read it, and it records for each frame the
-budget the enumeration spent to reach it, so a replay spends exactly what
-the enumeration would have and runs out of budget at the same place.  Its
-memory is therefore bounded by the largest budget any call has spent on the
-shape's frames.  The logs are module state and are not thread-safe: calls
-to ``enumerate_sat`` must not run concurrently.
+log, which later calls replay (see ``_frames``).  A frame has one form from
+enumeration to model: ``succs``, a tuple of each world's successor indices,
+and ``delta``, each world's local domain as a set of element indices.  The
+log is filled lazily, only as far as some call has read it, and each entry
+holds, next to its frame, its charge: the budget the enumeration spent to
+reach it, one unit per edge set and per local-domain map tried.  So a replay
+spends exactly what the enumeration would have and runs out of budget at the
+same place.  A log's memory is therefore bounded by the largest budget any
+call has spent on the shape's frames.  The logs are module state and are
+not thread-safe: calls to ``enumerate_sat`` must not run concurrently.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, permutations, product
 
-from .errors import ArgumentError, BfomlError, InternalSolverError
+from .errors import ArgumentError, InternalSolverError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
                        Top, Var, cleanse, free_vars, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
-from .limits import Budget
+from .limits import Budget, require_at_least_one
 
 SEMANTICS = ("increasing", "constant")
 
@@ -48,32 +51,34 @@ class EnumerationResult:
     root: str
 
 
-def _reachable_from_root(n: int, edges: frozenset[tuple[int, int]]) -> bool:
+def _reachable_from_root(succs: tuple[tuple[int, ...], ...]) -> bool:
     seen = {0}
     frontier = [0]
     while frontier:
-        w = frontier.pop()
-        for (a, b) in edges:
-            if a == w and b not in seen:
+        for b in succs[frontier.pop()]:
+            if b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    return len(seen) == n
+    return len(seen) == len(succs)
 
 
-def _is_canonical(n: int, edges: frozenset[tuple[int, int]],
+def _is_canonical(succs: tuple[tuple[int, ...], ...],
                   delta: tuple[frozenset[int], ...]) -> bool:
     """Keep one frame per orbit of the root-fixing world permutations."""
+    n = len(succs)
     if n <= 2:
         return True
-    sig = (tuple(sorted(edges)), tuple(tuple(sorted(s)) for s in delta))
+    # Lists, not tuples: sorted edge tuples of every length would fill
+    # CPython's tuple free lists, about 1.5 MiB held after one 4-world fill.
+    sig = ([(a, b) for a, row in enumerate(succs) for b in row],
+           [tuple(sorted(s)) for s in delta])
     for perm in permutations(range(1, n)):
         p = (0,) + perm
-        p_edges = tuple(sorted((p[a], p[b]) for a, b in edges))
+        p_edges = sorted((p[a], p[b]) for a, row in enumerate(succs) for b in row)
         p_delta: list[tuple[int, ...]] = [()] * n
         for i in range(n):
             p_delta[p[i]] = tuple(sorted(delta[i]))
-        cand = (p_edges, tuple(p_delta))
-        if cand < sig:
+        if (p_edges, p_delta) < sig:
             return False
     return True
 
@@ -218,9 +223,8 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     them), then interpretations.
     """
     require_semantics(semantics)
-    for name, bound in (("max_worlds", max_worlds), ("max_domain", max_domain)):
-        if bound < 1:
-            raise BfomlError(f"{name} must be at least 1, got {bound}")
+    require_at_least_one("max_worlds", max_worlds)
+    require_at_least_one("max_domain", max_domain)
     tracker = Budget(budget, "bounded model search ran out of budget; result is inconclusive")
 
     psi = cleanse(to_nnf(formula))
@@ -229,21 +233,16 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     if len(fv_names) > max_domain:
         return None
 
-    fillers = []
-    k = 0
-    while len(fillers) < max_domain:
-        name = f"d{k}"
-        if name not in fv_names:
-            fillers.append(name)
-        k += 1
+    fillers = [f"d{k}" for k in range(max_domain + len(fv_names))
+               if f"d{k}" not in fv_names][:max_domain]
 
     for n_worlds in range(1, max_worlds + 1):
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
             elements = (fv_names + fillers)[:n_dom]
             shape = (n_worlds, n_dom, semantics, len(fv_names))
-            for edges, delta in _frames(shape, tracker):
-                result = _try_frame(psi, worlds, elements, edges, delta,
+            for succs, delta in _frames(shape, tracker):
+                result = _try_frame(psi, worlds, elements, succs, delta,
                                     sigma0, tracker)
                 if result is not None:
                     return result
@@ -251,19 +250,19 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
 
 
 # The frame log of each shape (n_worlds, n_dom, semantics, n_free): a list of
-# (charge, edge mask, delta) entries and the generator that extends it.
+# (charge, succs, delta) entries and the generator that extends it.
 _FRAME_LOGS: dict[tuple[int, int, str, int], tuple[list, object]] = {}
 
 
 def _frames(shape: tuple[int, int, str, int], tracker: Budget):
-    """The canonical reachable frames of a shape as (edges, delta), in order.
+    """The canonical reachable frames of a shape as (succs, delta), in order.
 
     Reads the shape's log, extending it from _frame_search when this call
     reads past its end, and spends each entry's charge before yielding its
-    frame.  An entry's charge is the number of unit spends the enumeration
-    makes after the previous frame (or the start of the shape) up to this
-    one: one per edge mask and one per local-domain map tried; the trailing
-    entry's charge covers the spends after the last frame.
+    frame as stored.  An entry's charge is the number of unit spends the
+    enumeration makes after the previous frame (or the start of the shape)
+    up to this one: one per edge set and one per local-domain map tried;
+    the trailing entry's charge covers the spends after the last frame.
 
     Replay is exact.  Between two frames the enumeration only spends and
     runs pure tests, so starting from a remaining budget r, its unit spends
@@ -284,8 +283,6 @@ def _frames(shape: tuple[int, int, str, int], tracker: Budget):
     if log is None:
         log = _FRAME_LOGS[shape] = ([], _frame_search(*shape))
     entries, source = log
-    n = shape[0]
-    bits = [(i * n + j, (i, j)) for i in range(n) for j in range(n)]
     for index in count():
         if index == len(entries):
             try:
@@ -294,62 +291,60 @@ def _frames(shape: tuple[int, int, str, int], tracker: Budget):
                 if _FRAME_LOGS.get(shape) is log:
                     del _FRAME_LOGS[shape]
                 raise
-        charge, edge_mask, delta = entries[index]
+        charge, succs, delta = entries[index]
         tracker.spend(charge)
-        if edge_mask is None:
+        if succs is None:
             return
-        yield frozenset(pair for bit, pair in bits if edge_mask >> bit & 1), delta
+        yield succs, delta
 
 
 def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int):
     """The enumeration that _frames replays, as log entries in search order.
 
-    Yields (charge, edge mask, delta) per canonical reachable frame, then
-    (charge, None, None).  Edge masks run over all n_worlds**2 bits, bit
-    i * n_worlds + j standing for the edge (i, j); delta gives each world's
-    local domain as a set of element indices, the first n_free of which the
-    root must hold.  Equal deltas are one shared tuple.
+    Yields (charge, succs, delta) per canonical reachable frame, then
+    (charge, None, None).  succs holds each world's successor indices as a
+    sorted row, one of the 2**n_worlds rows in the order of their bit masks;
+    world 0's row varies fastest, so edge sets come in the order of the
+    n_worlds**2-bit mask whose bit i * n_worlds + j stands for the edge
+    (i, j).  delta gives each world's local domain as a set of element
+    indices, the first n_free of which the root must hold.  Equal deltas are
+    one shared tuple.
     """
     full = frozenset(range(n_dom))
     nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
                 for mask in range(1, 1 << n_dom)]
-    root_required = frozenset(range(n_free))
+    root_domains = [s for s in nonempty if s >= frozenset(range(n_free))]
+    rows = [tuple(j for j in range(n_worlds) if mask >> j & 1)
+            for mask in range(1 << n_worlds)]
     shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
     charge = 0
-    for edge_mask in range(1 << (n_worlds * n_worlds)):
+    for reversed_succs in product(rows, repeat=n_worlds):
+        succs = reversed_succs[::-1]
         charge += 1
-        edges = frozenset(
-            (i, j)
-            for i in range(n_worlds) for j in range(n_worlds)
-            if edge_mask >> (i * n_worlds + j) & 1)
-        if not _reachable_from_root(n_worlds, edges):
+        if not _reachable_from_root(succs):
             continue
         if semantics == "constant":
-            delta_choices = [tuple([full] * n_worlds)]
+            delta_choices = [(full,) * n_worlds]
         else:
             delta_choices = (
-                d for d in product(nonempty, repeat=n_worlds)
-                if d[0] >= root_required
-                and all(d[i] <= d[j] for i, j in edges))
+                d for d in product(root_domains, *[nonempty] * (n_worlds - 1))
+                if all(d[i] <= d[j] for i, row in enumerate(succs) for j in row))
         for delta in delta_choices:
             charge += 1
-            if not _is_canonical(n_worlds, edges, delta):
+            if not _is_canonical(succs, delta):
                 continue
-            # The entry holds the mask, not the edge set: logs live as long as
-            # the process, an int is far smaller than a frozenset of pairs,
-            # and _frames rebuilds the set only for the frame it yields.
-            yield charge, edge_mask, shared.setdefault(delta, delta)
+            yield charge, succs, shared.setdefault(delta, delta)
             charge = 0
     yield charge, None, None
 
 
-def _try_frame(psi, worlds, elements, edges, delta, sigma0, tracker):
+def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker):
     n = len(worlds)
     delta_names = {worlds[i]: tuple(sorted(elements[b] for b in delta[i]))
                    for i in range(n)}
-    succs = {w: tuple(sorted(worlds[j] for i, j in edges if worlds[i] == w))
-             for w in worlds}
-    root_node = _ground(psi, worlds[0], sigma0, delta_names, succs, tracker)
+    succ_names = {worlds[i]: tuple(sorted(worlds[j] for j in row))
+                  for i, row in enumerate(succs)}
+    root_node = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
     assignment = _sat_assignment(root_node, tracker)
     if assignment is None:
         return None
@@ -360,7 +355,7 @@ def _try_frame(psi, worlds, elements, edges, delta, sigma0, tracker):
     model = KripkeModel.create(
         worlds=worlds,
         domain=elements,
-        edges=[(worlds[i], worlds[j]) for i, j in edges],
+        edges=[(worlds[i], worlds[j]) for i, row in enumerate(succs) for j in row],
         local={worlds[i]: {elements[b] for b in delta[i]} for i in range(n)},
         rho=rho,
     )

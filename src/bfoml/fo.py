@@ -30,6 +30,7 @@ from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
                        Predicate, Quant, TOP, Var, format_formula, free_vars,
                        fresh_like, subformulas, var_key)
 from .kripke import KripkeModel
+from .limits import require_at_least_one
 from .parser import _Parser, parse_var_name, tokenize
 
 R_PRED = Predicate("R", 2)
@@ -61,8 +62,14 @@ class FOSentence:
 
 @dataclass(frozen=True)
 class FOModel:
+    """A relational model; first-order semantics needs a nonempty domain."""
+
     domain: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        if not self.domain:
+            raise ModelFormatError("an FO model needs a nonempty domain")
 
     def to_json_dict(self) -> dict:
         return {"domain": list(self.domain), "R": [list(p) for p in sorted(self.rel)]}
@@ -181,16 +188,21 @@ def fo_check(model: FOModel, sentence: FOSentence) -> bool:
     return rec(0, {})
 
 
-def fo_satisfying_models(sentence: FOSentence, max_domain: int) -> Iterator[FOModel]:
-    """All satisfying models over canonical domains d0, d1, ... in order."""
+def _fo_models(max_domain: int) -> Iterator[FOModel]:
     for n in range(1, max_domain + 1):
         domain = tuple(f"d{i}" for i in range(n))
         pairs = [(a, b) for a in domain for b in domain]
         for mask in range(1 << len(pairs)):
-            rel = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            model = FOModel(domain, rel)
-            if fo_check(model, sentence):
-                yield model
+            yield FOModel(domain, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+def fo_satisfying_models(sentence: FOSentence, max_domain: int) -> Iterator[FOModel]:
+    """All satisfying models over canonical domains d0, d1, ... in order.
+
+    A max_domain below 1 raises BfomlError at the call, as in enumerate_sat.
+    """
+    require_at_least_one("max_domain", max_domain)
+    return (model for model in _fo_models(max_domain) if fo_check(model, sentence))
 
 
 def fo_enumerate_sat(sentence: FOSentence, max_domain: int) -> FOModel | None:

@@ -431,6 +431,16 @@ def cleanse(f: Formula) -> Formula:
     taken: set[Var] = set()
 
     def rec(g: Formula, env: dict[Var, Var]) -> Formula:
+        if isinstance(g, Not):
+            # A chain of negations is walked in a loop, as in _nnf.
+            chain = []
+            while isinstance(g, Not):
+                chain.append(g)
+                g = g.body
+            out = rec(g, env)
+            for node in reversed(chain):
+                out = node if out is node.body else Not(out)
+            return out
         if isinstance(g, Atom):
             # By identity: bound arguments take their binder's Var, so lookups skip Var.__eq__.
             args = tuple(env.get(a, a) for a in g.args)

@@ -44,6 +44,8 @@ class FormulaGenerator:
             raise ArgumentError(f"fragment must be one of {sorted(_FRAGMENTS)}")
         self.rng = random.Random(seed)
         self.kinds = FRAGMENT_BUNDLES[_FRAGMENTS[fragment]]
+        if not variables:
+            raise ArgumentError("variables must name at least one variable")
         self.variables = tuple(Var(n) for n in variables)
 
     def formula(self) -> Formula:

@@ -246,7 +246,11 @@ class _Evaluator:
                 got = self._memo[key] = self._eval_bundle(world, sigma, f)
             return got
         if isinstance(f, Not):
-            return not self.eval(world, sigma, f.body)
+            # A chain of negations is walked in a loop, as formulas._nnf does.
+            negated = False
+            while isinstance(f, Not):
+                f, negated = f.body, not negated
+            return self.eval(world, sigma, f) is not negated
         if isinstance(f, Or):
             return self.eval(world, sigma, f.left) or self.eval(world, sigma, f.right)
         if isinstance(f, Top):

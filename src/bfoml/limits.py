@@ -9,6 +9,12 @@ from .errors import BfomlError, ResourceLimitError
 DEFAULT_BUDGET = 2_000_000
 
 
+def require_at_least_one(name: str, value: int) -> None:
+    """Raise BfomlError unless the bound called name is at least 1."""
+    if value < 1:
+        raise BfomlError(f"{name} must be at least 1, got {value}")
+
+
 def resolve_budget(budget: int | None) -> int:
     """An explicit budget as given; else BFOML_BUDGET when set, else the default.
 
@@ -16,8 +22,7 @@ def resolve_budget(budget: int | None) -> int:
     at least 1, raises BfomlError.
     """
     if budget is not None:
-        if budget < 1:
-            raise BfomlError(f"budget must be at least 1, got {budget}")
+        require_at_least_one("budget", budget)
         return budget
     raw = os.environ.get("BFOML_BUDGET")
     if raw is None:
@@ -26,8 +31,7 @@ def resolve_budget(budget: int | None) -> int:
         value = int(raw)
     except ValueError:
         raise BfomlError(f"BFOML_BUDGET must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise BfomlError(f"BFOML_BUDGET must be at least 1, got {value}")
+    require_at_least_one("BFOML_BUDGET", value)
     return value
 
 

@@ -365,3 +365,12 @@ def test_validate_reports_the_violation(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "violation: monotonicity at (w0,w1): "
         "local domain must not shrink along an edge; lost ['b']\n")
+
+
+def test_witness_from_an_empty_fo_model_is_a_one_line_error(tmp_path, capsys):
+    fo_model = tmp_path / "m.json"
+    fo_model.write_text(json.dumps({"domain": [], "R": []}))
+    out = tmp_path / "w.json"
+    assert_one_line_error(capsys, ["translate", "ALL x . R(x,x)", "--witness", str(out),
+                                   "--fo-model", str(fo_model)], "nonempty domain")
+    assert not out.exists()

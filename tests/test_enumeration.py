@@ -123,11 +123,10 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
     root_required = frozenset(range(n_free))
     for edge_mask in range(1 << (n_worlds * n_worlds)):
         tracker.spend()
-        edges = frozenset(
-            (i, j)
-            for i in range(n_worlds) for j in range(n_worlds)
-            if edge_mask >> (i * n_worlds + j) & 1)
-        if not enumeration._reachable_from_root(n_worlds, edges):
+        succs = tuple(
+            tuple(j for j in range(n_worlds) if edge_mask >> (i * n_worlds + j) & 1)
+            for i in range(n_worlds))
+        if not enumeration._reachable_from_root(succs):
             continue
         if semantics == "constant":
             delta_choices = [tuple([full] * n_worlds)]
@@ -135,11 +134,11 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
             delta_choices = (
                 d for d in product(nonempty, repeat=n_worlds)
                 if d[0] >= root_required
-                and all(d[i] <= d[j] for i, j in edges))
+                and all(d[i] <= d[j] for i, row in enumerate(succs) for j in row))
         for delta in delta_choices:
             tracker.spend()
-            if enumeration._is_canonical(n_worlds, edges, delta):
-                yield edges, delta
+            if enumeration._is_canonical(succs, delta):
+                yield succs, delta
 
 
 def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
@@ -155,9 +154,9 @@ def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
             elements = (fv_names + fillers)[:n_dom]
-            for edges, delta in reference_frames(n_worlds, n_dom, semantics,
+            for succs, delta in reference_frames(n_worlds, n_dom, semantics,
                                                  len(fv_names), tracker):
-                result = enumeration._try_frame(psi, worlds, elements, edges, delta,
+                result = enumeration._try_frame(psi, worlds, elements, succs, delta,
                                                 sigma0, tracker)
                 if result is not None:
                     return result

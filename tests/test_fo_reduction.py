@@ -2,11 +2,11 @@
 
 import pytest
 
-from bfoml import (Fragment, FragmentError, ParseError, Var, check, classify, cleanse,
-                   enumerate_sat, is_clean, modal_depth, parse, parse_fo,
+from bfoml import (Fragment, FragmentError, ModelFormatError, ParseError, Var, check,
+                   classify, cleanse, enumerate_sat, is_clean, modal_depth, parse, parse_fo,
                    translate_qf, translate_sentence)
 from bfoml.fo import (FOModel, build_witness_model, fo_check,
-                      fo_enumerate_sat, fo_satisfying_models, format_fo)
+                      fo_enumerate_sat, fo_model_loads, fo_satisfying_models, format_fo)
 from bfoml.formulas import And, Bundle, Mod, Quant, format_formula
 from bfoml.kripke import KripkeModel, validate
 
@@ -279,3 +279,11 @@ def test_fo_sentence_accepts_parsed_matrices():
 def test_parse_fo_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_fo("EX x . " + "!" * 3000 + "R(x,x)")
+
+
+def test_fo_model_refuses_an_empty_domain():
+    # Over an empty domain every ALL sentence would hold.
+    with pytest.raises(ModelFormatError, match="nonempty domain"):
+        FOModel((), frozenset())
+    with pytest.raises(ModelFormatError, match="nonempty domain"):
+        fo_model_loads('{"domain": [], "R": []}')

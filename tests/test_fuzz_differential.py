@@ -164,3 +164,9 @@ def test_unsat_verdicts_cross_checked_by_exhaustion():
         except ResourceLimitError:
             pass
         checked += 1
+
+
+def test_generator_rejects_an_empty_variable_list_when_built():
+    # Without a variable there is no literal to draw: the first draw would fail.
+    with pytest.raises(ArgumentError, match="at least one variable"):
+        FormulaGenerator(1, variables=())

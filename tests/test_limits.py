@@ -3,7 +3,8 @@
 import pytest
 
 from bfoml import (BfomlError, Fragment, ResourceLimitError, classify,
-                   decide_constant_eb, decide_increasing, enumerate_sat, parse)
+                   decide_constant_eb, decide_increasing, enumerate_sat, fo_enumerate_sat,
+                   fo_satisfying_models, parse, parse_fo)
 from bfoml.fuzz import run_oracle_agreement
 from bfoml.limits import Budget
 
@@ -117,3 +118,15 @@ def test_a_tableau_budget_of_exactly_the_nodes_expanded_suffices():
                 decide(f, budget=full.nodes_expanded - 1)
             assert str(caught.value) == "tableau node budget exhausted"
     assert checked == 39
+
+
+@pytest.mark.parametrize("call, max_domain", [
+    (fo_enumerate_sat, 0),
+    (fo_satisfying_models, -2),
+])
+def test_fo_model_search_rejects_an_empty_bound_at_the_call(call, max_domain):
+    # The same error as enumerate_sat's, raised before any model is drawn.
+    with pytest.raises(BfomlError) as caught:
+        call(parse_fo("EX x . R(x,x)"), max_domain)
+    assert not isinstance(caught.value, ResourceLimitError)
+    assert str(caught.value) == f"max_domain must be at least 1, got {max_domain}"

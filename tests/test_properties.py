@@ -6,10 +6,11 @@ draws the same examples and Tier-1 stays deterministic.
 
 import pickle
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from bfoml import (And, Atom, Bundle, CaptureError, Fragment, Implies, Mod, Not, Or,
-                   Predicate, Quant, Var, check, classify, cleanse, free_vars, parse,
+                   Predicate, Quant, ResourceLimitError, Var, check, classify, cleanse,
+                   decide_constant_eb, decide_increasing, enumerate_sat, free_vars, parse,
                    subformulas, substitute, to_nnf)
 from bfoml.formulas import BOT, TOP, var_key
 from bfoml.fuzz import ModelGenerator
@@ -98,3 +99,69 @@ def test_normalizing_a_clean_nnf_formula_returns_it_unchanged(f):
     g = cleanse(to_nnf(f))
     assert to_nnf(g) is g
     assert cleanse(g) is g
+
+
+# Agreement between the decision procedures and the bounded oracle.  The
+# oracle's models are checked, so a model it finds refutes an UNSAT verdict.
+# Two variables keep every drawn formula within the oracle's domain bound.
+
+SMALL_VARS = st.sampled_from([Var("x"), Var("y")])
+SMALL_LEAVES = st.one_of(
+    st.just(TOP), st.just(BOT),
+    st.builds(lambda v: Atom(P, (v,)), SMALL_VARS),
+    st.builds(lambda a, b: Atom(Q, (a, b)), SMALL_VARS, SMALL_VARS))
+SMALL_FORMULAS = st.recursive(SMALL_LEAVES, lambda sub: st.one_of(
+    st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+    st.builds(Bundle, st.sampled_from(Quant), st.sampled_from(Mod), SMALL_VARS, sub)),
+    max_leaves=6)
+# Exists-box formulas in NNF: literals, & and |, and only E-box and A-diamond bundles.
+EXISTS_BOX_FORMULAS = st.recursive(
+    st.one_of(SMALL_LEAVES, st.builds(Not, SMALL_LEAVES)), lambda sub: st.one_of(
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Bundle, st.just(Quant.EXISTS), st.just(Mod.BOX), SMALL_VARS, sub),
+        st.builds(Bundle, st.just(Quant.FORALL), st.just(Mod.DIAMOND), SMALL_VARS, sub)),
+    max_leaves=6)
+ORACLE_BUDGET = 20_000
+
+
+def oracle_model(f, max_worlds, semantics="increasing"):
+    """The oracle's model within max_worlds worlds and two elements, or None.
+
+    A search that runs out of budget settles nothing, so the example is
+    discarded rather than counted as a pass.
+    """
+    try:
+        return enumerate_sat(f, max_worlds, 2, semantics, budget=ORACLE_BUDGET)
+    except ResourceLimitError:
+        reject()
+
+
+@DERANDOMIZED
+@given(SMALL_FORMULAS)
+def test_an_oracle_model_means_the_increasing_tableau_says_sat(f):
+    if oracle_model(f, 2) is not None:
+        assert decide_increasing(f).is_sat
+
+
+@DERANDOMIZED
+@given(SMALL_FORMULAS, SMALL_FORMULAS)
+def test_an_increasing_unsat_verdict_means_the_oracle_finds_no_model(f, g):
+    # A conjunction is more often UNSAT; only those cases run the oracle, at
+    # a larger world bound.
+    f = And(f, g)
+    if not decide_increasing(f).is_sat:
+        assert oracle_model(f, 3) is None
+
+
+@DERANDOMIZED
+@given(EXISTS_BOX_FORMULAS)
+def test_the_two_tableaux_agree_on_exists_box_formulas(f):
+    assert classify(f) is Fragment.EXISTS_BOX
+    assert decide_constant_eb(f).verdict is decide_increasing(f).verdict
+
+
+@DERANDOMIZED
+@given(EXISTS_BOX_FORMULAS)
+def test_a_constant_oracle_model_means_the_constant_tableau_says_sat(f):
+    if oracle_model(f, 2, "constant") is not None:
+        assert decide_constant_eb(f).is_sat

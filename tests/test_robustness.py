@@ -2,7 +2,8 @@
 
 import pytest
 
-from bfoml import ResourceLimitError, decide_increasing, parse
+from bfoml import (KripkeModel, ResourceLimitError, check, decide_increasing,
+                   enumerate_sat, parse)
 from bfoml.cli import main
 from bfoml.fo import FOSentence, R_PRED, parse_fo, translate_sentence
 from bfoml.formulas import (And, Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
@@ -59,6 +60,34 @@ def test_nnf_walks_a_negation_chain_built_in_code_without_recursion():
     # 3,000 negations cancel in pairs.
     assert to_nnf(deep_negations()) == parse("E y [] P(x)")
     assert decide_increasing(deep_negations()).is_sat
+
+
+def test_cleanse_walks_a_negation_chain_built_in_code_without_recursion():
+    f = deep_negations()
+    assert cleanse(f) is f
+    # A clashing binder above the chain is renamed down to the atom under it.
+    y = Var("y")
+    chain = Atom(Predicate("P", 1), (y,))
+    for _ in range(3000):
+        chain = Not(chain)
+    g = cleanse(And(Bundle(Quant.EXISTS, Mod.BOX, y, Atom(Predicate("P", 1), (y,))),
+                    Bundle(Quant.EXISTS, Mod.BOX, y, chain)))
+    assert str(g) == "(E y [] P(y) & E y^1 [] " + "!" * 3000 + "P(y^1))"
+    assert is_clean(g)
+
+
+def test_check_walks_a_negation_chain_built_in_code_without_recursion():
+    # E y [] over one successor where P(x) holds: the chain's parity decides.
+    model = KripkeModel.create(["w0", "w1"], ["x"], [("w0", "w1")],
+                               {"w0": {"x"}, "w1": {"x"}}, {"w1": {"P": {("x",)}}})
+    sigma = {Var("x"): "x"}
+    assert check(model, "w0", sigma, deep_negations(3000))
+    assert not check(model, "w0", sigma, deep_negations(3001))
+
+
+def test_oracle_answers_on_a_negation_chain_built_in_code():
+    result = enumerate_sat(deep_negations(), 1, 1)
+    assert result is not None and result.model.worlds == ("w0",)
 
 
 def test_a_label_splits_a_conjunction_chain_built_in_code_without_recursion():
