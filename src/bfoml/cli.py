@@ -8,7 +8,8 @@ every error path exits 1 with a message on stderr and no verdict on stdout.
 That includes a file that cannot be read or is not UTF-8 text, an empty
 ``--model``, ``--trace`` or ``--witness`` path, and a ``check --assign``
 whose name is not a variable such as ``x`` or ``x^2``.  ``translate`` prints
-the encoding only after any witness file is written.
+the encoding only after any witness file is written, and then one stderr
+line on what the witness is.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def _cmd_translate(args) -> int:
         if not fo_check(fo_model, sentence):
             raise BfomlError("the relational model does not satisfy the sentence")
         _write(args.witness, build_witness_model(fo_model, sentence).dumps())
+        print("note: the witness is the chain-plus-fan model as the paper prints it; "
+              'the encoding does not hold at its root (README, "Acceptance suite")',
+              file=sys.stderr)
     print(encoding)
     return 0
 

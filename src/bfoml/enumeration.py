@@ -160,8 +160,6 @@ def _sat_assignment(root_node, budget: Budget) -> dict | None:
     assign: dict[tuple, bool] = {}
 
     def eval3(node, memo):
-        if node is True or node is False:
-            return node, None
         got = memo.get(id(node))
         if got is not None:
             return got

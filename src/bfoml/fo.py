@@ -17,11 +17,18 @@ syntax::
               | "(" matrix op matrix ")"          with op in & | ->
 
 FO model JSON: {"domain": [...], "R": [[a, b], ...]}.
+
+Where each input rule lives: ``FOSentence`` checks that its matrix is an
+FO(R) matrix, that it is closed and that it has a quantifier; ``FOModel``
+checks that its domain is nonempty and that every R pair lies in it.  So a
+value built in code obeys the same rules as one that is read.  The readers
+only read: ``_FOParser`` checks the syntax (a repeated binder included,
+since that message carries a position) and ``fo_model_from_json_dict`` the
+JSON shape, with the shape tests and the JSON decoding of ``kripke``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,9 +36,9 @@ from .errors import FragmentError, ModelFormatError, ParseError
 from .formulas import (And, Atom, Bundle, Formula, Implies, Mod, Not, Or,
                        Predicate, Quant, TOP, Var, format_formula, free_vars,
                        fresh_like, subformulas, var_key)
-from .kripke import KripkeModel
+from .kripke import KripkeModel, decode_json, is_pair_list, is_string_list
 from .limits import require_at_least_one
-from .parser import _Parser, parse_var_name, tokenize
+from .parser import _Parser, tokenize
 
 R_PRED = Predicate("R", 2)
 P_PRED = Predicate("P", 1)
@@ -48,13 +55,24 @@ def _check_matrix(matrix: Formula) -> None:
 
 @dataclass(frozen=True)
 class FOSentence:
-    """Prenex sentence: quantifier prefix over a quantifier-free matrix."""
+    """Prenex sentence: quantifier prefix over a quantifier-free matrix.
+
+    A matrix outside FO(R) raises FragmentError, and a sentence with a free
+    variable or without a quantifier raises ParseError.  A binder may repeat
+    here; ``parse_fo`` refuses that.
+    """
 
     prefix: tuple[tuple[Quant, Var], ...]
     matrix: Formula
 
     def __post_init__(self) -> None:
         _check_matrix(self.matrix)
+        open_vars = free_vars(self.matrix) - {v for _, v in self.prefix}
+        if open_vars:
+            names = ", ".join(str(v) for v in sorted(open_vars, key=var_key))
+            raise ParseError(f"not a sentence: free variables {names}")
+        if not self.prefix:
+            raise ParseError("a sentence needs at least one quantifier")
 
     def __str__(self) -> str:
         return format_fo(self)
@@ -62,46 +80,37 @@ class FOSentence:
 
 @dataclass(frozen=True)
 class FOModel:
-    """A relational model; first-order semantics needs a nonempty domain."""
+    """A relational model; first-order semantics needs a nonempty domain.
+
+    An R pair with an element outside the domain (the least such pair is
+    named), and then an empty domain, raise ModelFormatError.
+    """
 
     domain: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        dom = set(self.domain)
+        outside = sorted(p for p in self.rel if not (p[0] in dom and p[1] in dom))
+        if outside:
+            a, b = outside[0]
+            raise ModelFormatError(f"R pair [{a!r}, {b!r}] uses unknown elements")
         if not self.domain:
             raise ModelFormatError("an FO model needs a nonempty domain")
-
-    def to_json_dict(self) -> dict:
-        return {"domain": list(self.domain), "R": [list(p) for p in sorted(self.rel)]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def fo_model_from_json_dict(doc: object) -> FOModel:
     if not isinstance(doc, dict) or "domain" not in doc or "R" not in doc:
         raise ModelFormatError('an FO model needs keys "domain" and "R"')
-    domain = doc["domain"]
-    rel = doc["R"]
-    if not (isinstance(domain, list) and all(isinstance(d, str) for d in domain)):
+    if not is_string_list(doc["domain"]):
         raise ModelFormatError("domain must be a list of strings")
-    if not isinstance(rel, list) or any(
-            not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p))
-            for p in rel):
+    if not is_pair_list(doc["R"]):
         raise ModelFormatError("R must be a list of [element, element] pairs")
-    dom = set(domain)
-    for a, b in rel:
-        if a not in dom or b not in dom:
-            raise ModelFormatError(f"R pair [{a!r}, {b!r}] uses unknown elements")
-    return FOModel(tuple(sorted(dom)), frozenset((a, b) for a, b in rel))
+    return FOModel(tuple(sorted(set(doc["domain"]))), frozenset(map(tuple, doc["R"])))
 
 
 def fo_model_loads(text: str) -> FOModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return fo_model_from_json_dict(doc)
+    return fo_model_from_json_dict(decode_json(text))
 
 
 def format_fo(s: FOSentence) -> str:
@@ -113,31 +122,17 @@ def format_fo(s: FOSentence) -> str:
 class _FOParser(_Parser):
     """The formula grammar with R/2 as its only predicate, after a prefix."""
 
-    def sentence(self) -> FOSentence:
+    def sentence(self) -> tuple[tuple[tuple[Quant, Var], ...], Formula]:
         prefix: list[tuple[Quant, Var]] = []
         while self.peek().kind == "uident" and self.peek().text in ("EX", "ALL"):
             q = Quant.EXISTS if self.advance().text == "EX" else Quant.FORALL
-            vtok = self.advance()
-            if vtok.kind != "lident":
-                raise ParseError(f"expected a variable, found {vtok.text!r}",
-                                 vtok.line, vtok.column)
-            v = parse_var_name(vtok.text)
+            vtok = self.peek()
+            v = self.var()
             if any(v == seen for _, seen in prefix):
                 raise ParseError(f"variable {v} quantified twice", vtok.line, vtok.column)
             prefix.append((q, v))
             self.expect_sym(".")
-        matrix = self.formula()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-        bound = {v for _, v in prefix}
-        open_vars = free_vars(matrix) - bound
-        if open_vars:
-            names = ", ".join(str(v) for v in sorted(open_vars, key=var_key))
-            raise ParseError(f"not a sentence: free variables {names}")
-        if not prefix:
-            raise ParseError("a sentence needs at least one quantifier")
-        return FOSentence(tuple(prefix), matrix)
+        return tuple(prefix), self.formula()
 
     def formula(self) -> Formula:
         tok = self.peek()
@@ -156,10 +151,8 @@ class _FOParser(_Parser):
 
 def parse_fo(text: str) -> FOSentence:
     """Parse one prenex FO(R) sentence."""
-    try:
-        return _FOParser(tokenize(text)).sentence()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
+    parser = _FOParser(tokenize(text))
+    return FOSentence(*parser.whole(parser.sentence))
 
 
 def fo_check(model: FOModel, sentence: FOSentence) -> bool:
@@ -249,9 +242,11 @@ def translate_sentence(sentence: FOSentence) -> Formula:
     """The full encoding: prefix mirror, depth agreement, and path length.
 
     For a prefix of length n the agreement conjunct has modal depth n+3 and
-    the path conjunct is a chain of n+2 towers.  Every binder is a distinct
-    fresh variable, so the output is clean, and it always lies in the
-    exists-diamond fragment.
+    the path conjunct is a chain of n+2 towers.  Every binder the encoding
+    adds is a distinct fresh variable, so the output is clean when the
+    prefix binds distinct variables, as ``parse_fo`` ensures; a sentence
+    built in code with a repeated binder gives an output that is not clean.
+    The output always lies in the exists-diamond fragment.
     """
     n = len(sentence.prefix)
     used = set(free_vars(sentence.matrix)) | {v for _, v in sentence.prefix}

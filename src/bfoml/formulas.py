@@ -424,11 +424,15 @@ def cleanse(f: Formula) -> Formula:
     as it is, shared with f, except an atom whose bound argument is not yet
     its binder's own Var object; so an output of cleanse comes back as the
     same object.
+
+    A predicate name met at two arities raises ArgumentError, as the parser
+    refuses it; every solver cleanses its input first.
     """
     _require_formula(f)
     free = free_vars(f)
     used = set(all_vars(f))
     taken: set[Var] = set()
+    arities: dict[str, int] = {}
 
     def rec(g: Formula, env: dict[Var, Var]) -> Formula:
         if isinstance(g, Not):
@@ -442,6 +446,10 @@ def cleanse(f: Formula) -> Formula:
                 out = node if out is node.body else Not(out)
             return out
         if isinstance(g, Atom):
+            seen = arities.setdefault(g.pred.name, g.pred.arity)
+            if seen != g.pred.arity:
+                raise ArgumentError(f"predicate {g.pred.name} used with arity "
+                                    f"{g.pred.arity}, previously arity {seen}")
             # By identity: bound arguments take their binder's Var, so lookups skip Var.__eq__.
             args = tuple(env.get(a, a) for a in g.args)
             return g if all(a is b for a, b in zip(args, g.args)) else Atom(g.pred, args)

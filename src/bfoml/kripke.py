@@ -101,6 +101,23 @@ class KripkeModel:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
+def decode_json(text: str) -> object:
+    """The JSON document in text; the one JSON decoding of both model readers."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+
+
+def is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def is_pair_list(value: object) -> bool:
+    """A list of two-string lists, as model edges and FO(R) pairs are written."""
+    return isinstance(value, list) and all(is_string_list(p) and len(p) == 2 for p in value)
+
+
 def model_from_json_dict(doc: object) -> KripkeModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -112,17 +129,13 @@ def model_from_json_dict(doc: object) -> KripkeModel:
     edges = doc["edges"]
     local = doc["local"]
     rho = doc["rho"]
-    if not (isinstance(worlds, list) and all(isinstance(w, str) for w in worlds)):
+    if not is_string_list(worlds):
         raise ModelFormatError("worlds must be a list of strings")
-    if not (isinstance(domain, list) and all(isinstance(d, str) for d in domain)):
+    if not is_string_list(domain):
         raise ModelFormatError("domain must be a list of strings")
-    if not isinstance(edges, list) or any(
-            not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e))
-            for e in edges):
+    if not is_pair_list(edges):
         raise ModelFormatError("edges must be a list of [world, world] pairs")
-    if not isinstance(local, dict) or any(
-            not (isinstance(es, list) and all(isinstance(x, str) for x in es))
-            for es in local.values()):
+    if not (isinstance(local, dict) and all(map(is_string_list, local.values()))):
         raise ModelFormatError("local must map worlds to lists of elements")
     if not isinstance(rho, dict):
         raise ModelFormatError("rho must be an object")
@@ -130,19 +143,13 @@ def model_from_json_dict(doc: object) -> KripkeModel:
         if not isinstance(preds, dict):
             raise ModelFormatError(f"rho[{w!r}] must be an object")
         for p, tuples in preds.items():
-            if not isinstance(tuples, list) or any(
-                    not (isinstance(t, list) and all(isinstance(x, str) for x in t))
-                    for t in tuples):
+            if not (isinstance(tuples, list) and all(map(is_string_list, tuples))):
                 raise ModelFormatError(f"rho[{w!r}][{p!r}] must be a list of element lists")
     return KripkeModel.create(worlds, domain, [(e[0], e[1]) for e in edges], local, rho)
 
 
 def model_loads(text: str) -> KripkeModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return model_from_json_dict(doc)
+    return model_from_json_dict(decode_json(text))
 
 
 def validate(model: KripkeModel) -> ModelViolation | None:

@@ -14,6 +14,11 @@ Whitespace-insensitive.  A predicate name keeps one arity throughout a
 formula; violations raise ArityMismatchError.  The ``^nat`` variable suffix
 and the empty argument list are conservative extensions so that every AST the
 library can build prints to parseable text.
+
+Where each input rule lives: ``_Parser.whole`` reads a whole input (a nesting
+too deep for the interpreter and trailing input are errors), ``_Parser.var``
+reads every variable token, and ``_Parser.atom`` keeps each predicate at one
+arity.  The relational front end (``fo._FOParser``) reuses all three.
 """
 
 from __future__ import annotations
@@ -103,6 +108,23 @@ class _Parser:
                              tok.line, tok.column)
         return tok
 
+    def whole(self, rule):
+        """Run ``rule`` over the whole input; trailing input is an error."""
+        try:
+            result = rule()
+        except RecursionError:
+            raise ParseError("formula nested too deeply") from None
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+        return result
+
+    def var(self) -> Var:
+        tok = self.advance()
+        if tok.kind != "lident":
+            raise ParseError(f"expected a variable, found {tok.text!r}", tok.line, tok.column)
+        return parse_var_name(tok.text)
+
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(f"{message}, found {tok.text or 'end of input'!r}",
@@ -142,7 +164,7 @@ class _Parser:
 
     def bundle(self) -> Bundle:
         quant = Quant(self.advance().text)
-        var = parse_var_name(self.advance().text)
+        var = self.var()
         tok = self.advance()
         if tok.kind != "sym" or tok.text not in ("[]", "<>"):
             raise ParseError(f"expected '[]' or '<>', found {tok.text!r}",
@@ -155,11 +177,7 @@ class _Parser:
         args: list[Var] = []
         if not (self.peek().kind == "sym" and self.peek().text == ")"):
             while True:
-                v = self.advance()
-                if v.kind != "lident":
-                    raise ParseError(f"expected a variable, found {v.text!r}",
-                                     v.line, v.column)
-                args.append(parse_var_name(v.text))
+                args.append(self.var())
                 if self.peek().kind == "sym" and self.peek().text == ",":
                     self.advance()
                     continue
@@ -176,11 +194,4 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse one formula; trailing input is an error."""
     parser = _Parser(tokenize(text))
-    try:
-        f = parser.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return f
+    return parser.whole(parser.formula)

@@ -374,3 +374,25 @@ def test_witness_from_an_empty_fo_model_is_a_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, ["translate", "ALL x . R(x,x)", "--witness", str(out),
                                    "--fo-model", str(fo_model)], "nonempty domain")
     assert not out.exists()
+
+
+def test_witness_note_says_what_the_witness_is(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["translate", "ALL x . EX y . R(x,y)", "--witness", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "note: the witness is the chain-plus-fan model as the paper prints it; the encoding "
+        'does not hold at its root (README, "Acceptance suite")\n')
+    assert main(["translate", "ALL x . EX y . R(x,y)"]) == 0
+    assert capsys.readouterr() == (captured.out, "")
+    assert main(["validate", str(out)]) == 0
+
+
+def test_witness_from_an_fo_model_with_a_pair_outside_its_domain_is_a_one_line_error(
+        tmp_path, capsys):
+    fo_model = tmp_path / "m.json"
+    fo_model.write_text(json.dumps({"domain": ["a"], "R": [["a", "b"]]}))
+    out = tmp_path / "w.json"
+    assert_one_line_error(capsys, ["translate", "ALL x . R(x,x)", "--witness", str(out),
+                                   "--fo-model", str(fo_model)], "uses unknown elements")
+    assert not out.exists()

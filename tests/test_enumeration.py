@@ -1,6 +1,6 @@
 """Bounded model search: frozen examples, self-consistency, determinism, frame log replay."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -114,7 +114,31 @@ def test_oracle_agreement_rejects_ed_under_constant_semantics_before_deciding(mo
 
 # The frame log against the streaming enumeration it replaces: the same
 # frames in the same order, charged one budget unit per edge mask and one
-# per local-domain map tried, spent as it goes.
+# per local-domain map tried, spent as it goes.  The reference has its own
+# reachability walk and its own orbit minimum, so a fault in the module's
+# _reachable_from_root or _is_canonical changes the expected sequence.
+
+def reference_reachable(succs):
+    reached = {0}
+    for _ in succs:
+        reached |= {j for i in reached for j in succs[i]}
+    return len(reached) == len(succs)
+
+
+def reference_canonical(succs, delta):
+    """The frame is the least of its images under the permutations that fix
+    world 0, ordered by sorted edge list and then by sorted local domains."""
+    n = len(succs)
+
+    def image(perm):
+        edges = sorted((perm[i], perm[j]) for i, row in enumerate(succs) for j in row)
+        domains = [None] * n
+        for i in range(n):
+            domains[perm[i]] = tuple(sorted(delta[i]))
+        return edges, domains
+
+    return image(range(n)) == min(image((0,) + rest) for rest in permutations(range(1, n)))
+
 
 def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
     full = frozenset(range(n_dom))
@@ -126,7 +150,7 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
         succs = tuple(
             tuple(j for j in range(n_worlds) if edge_mask >> (i * n_worlds + j) & 1)
             for i in range(n_worlds))
-        if not enumeration._reachable_from_root(succs):
+        if not reference_reachable(succs):
             continue
         if semantics == "constant":
             delta_choices = [tuple([full] * n_worlds)]
@@ -137,7 +161,7 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
                 and all(d[i] <= d[j] for i, row in enumerate(succs) for j in row))
         for delta in delta_choices:
             tracker.spend()
-            if enumeration._is_canonical(succs, delta):
+            if reference_canonical(succs, delta):
                 yield succs, delta
 
 

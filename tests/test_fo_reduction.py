@@ -5,9 +5,9 @@ import pytest
 from bfoml import (Fragment, FragmentError, ModelFormatError, ParseError, Var, check,
                    classify, cleanse, enumerate_sat, is_clean, modal_depth, parse, parse_fo,
                    translate_qf, translate_sentence)
-from bfoml.fo import (FOModel, build_witness_model, fo_check,
+from bfoml.fo import (FOModel, FOSentence, R_PRED, build_witness_model, fo_check,
                       fo_enumerate_sat, fo_model_loads, fo_satisfying_models, format_fo)
-from bfoml.formulas import And, Bundle, Mod, Quant, format_formula
+from bfoml.formulas import And, Atom, Bundle, Mod, Quant, format_formula
 from bfoml.kripke import KripkeModel, validate
 
 
@@ -38,6 +38,27 @@ def test_parse_fo_rejects_other_predicates():
 def test_parse_fo_needs_a_quantifier():
     with pytest.raises(ParseError):
         parse_fo("R(x,y)")
+
+
+def test_a_sentence_built_in_code_must_be_closed():
+    x, y = Var("x"), Var("y")
+    with pytest.raises(ParseError, match="^not a sentence: free variables y$"):
+        FOSentence(((Quant.EXISTS, x),), Atom(R_PRED, (x, y)))
+
+
+def test_a_sentence_built_in_code_needs_a_quantifier():
+    # Every matrix holds an R atom, so without a prefix it is open too.
+    x = Var("x")
+    with pytest.raises(ParseError, match="^not a sentence: free variables x$"):
+        FOSentence((), Atom(R_PRED, (x, x)))
+
+
+def test_fo_model_refuses_a_pair_outside_its_domain():
+    # Built in code or read, the least pair outside the domain is named.
+    with pytest.raises(ModelFormatError, match=r"^R pair \['a', 'b'\] uses unknown elements$"):
+        FOModel(("a",), frozenset({("c", "a"), ("a", "b")}))
+    with pytest.raises(ModelFormatError, match=r"^R pair \['a', 'b'\] uses unknown elements$"):
+        fo_model_loads('{"domain": ["a"], "R": [["c", "a"], ["a", "b"]]}')
 
 
 def test_fo_check_basics():

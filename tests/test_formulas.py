@@ -3,10 +3,10 @@
 import pytest
 
 from bfoml import (ArgumentError, CaptureError, Fragment, Var, ast_size, atom, classify,
-                   cleanse, exists_box_vars, format_formula, free_vars,
-                   is_clean, is_nnf, modal_depth, parse, subformulas, substitute,
-                   to_nnf)
-from bfoml.formulas import Atom, Predicate, boolean_connective_count
+                   cleanse, decide_constant_eb, decide_increasing, enumerate_sat,
+                   exists_box_vars, format_formula, free_vars, is_clean, is_nnf,
+                   modal_depth, parse, subformulas, substitute, to_nnf)
+from bfoml.formulas import And, Atom, Predicate, boolean_connective_count
 from bfoml.fuzz import FormulaGenerator
 
 
@@ -188,6 +188,16 @@ def test_every_predicate_prints_text_that_parses_back():
 def test_atom_with_the_wrong_arity_is_an_argument_error():
     with pytest.raises(ArgumentError, match="given 2 arguments, arity is 1"):
         Atom(Predicate("P", 1), (Var("x"), Var("y")))
+
+
+@pytest.mark.parametrize("solve", [
+    decide_increasing, decide_constant_eb, lambda f: enumerate_sat(f, 2, 2),
+], ids=["increasing", "constant", "oracle"])
+def test_a_predicate_at_two_arities_is_an_argument_error_in_every_solver(solve):
+    # The parser refuses this text; built in code, cleanse refuses it.
+    f = And(atom("P", "x"), atom("P", "x", "y"))
+    with pytest.raises(ArgumentError, match="^predicate P used with arity 2, previously arity 1$"):
+        solve(f)
 
 
 def test_every_var_prints_text_that_parses_back():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bfoml import ArityMismatchError, ParseError, parse
+from bfoml import ArityMismatchError, ParseError, parse, parse_fo
 from bfoml.formulas import And, Atom, Bundle, Mod, Not, Quant, Var
 
 
@@ -76,3 +76,16 @@ def test_quantifier_named_predicate():
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("!" * 3000 + "P(x)")
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse, "P(x,)", "expected a variable, found ')' (line 1, column 5)"),
+    (parse, "P(", "expected a variable, found '' (line 1, column 3)"),
+    (parse_fo, "EX P . R(x,x)", "expected a variable, found 'P' (line 1, column 4)"),
+    (parse_fo, "EX x . ALL x . R(x,x)", "variable x quantified twice (line 1, column 12)"),
+    (parse_fo, "EX x . R(x,x) R(x,x)", "unexpected trailing input 'R' (line 1, column 15)"),
+])
+def test_both_grammars_report_with_the_same_messages(read, text, message):
+    with pytest.raises(ParseError) as caught:
+        read(text)
+    assert str(caught.value) == message
