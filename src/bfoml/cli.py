@@ -6,8 +6,9 @@ Exit codes: sat and oracle use 10 for SAT, 20 for UNSAT/none-found; check
 uses 0 for true and 3 for false; fuzz uses 0 only when no comparison failed;
 every error path exits 1 with a message on stderr and no verdict on stdout.
 That includes a file that cannot be read or is not UTF-8 text, an empty
-``--model``, ``--trace`` or ``--witness`` path, and a ``check --assign``
-whose name is not a variable such as ``x`` or ``x^2``.  ``translate`` prints
+``--model``, ``--trace`` or ``--witness`` path, a ``check --assign`` whose
+name is not a variable such as ``x`` or ``x^2`` or names one given before,
+and ``translate --fo-model`` without ``--witness``.  ``translate`` prints
 the encoding only after any witness file is written, and then one stderr
 line on what the witness is.
 """
@@ -19,13 +20,13 @@ import sys
 import time
 
 from .enumeration import SEMANTICS, enumerate_sat
-from .errors import BfomlError, InternalSolverError
+from .errors import BfomlError, InternalSolverError, InvalidModelError
 from .fo import (build_witness_model, fo_check, fo_enumerate_sat,
                  fo_model_loads, parse_fo, translate_sentence)
 from .formulas import (ast_size, classify, cleanse, exists_box_vars,
                        format_formula, free_vars, modal_depth, to_nnf, var_key)
-from .fuzz import run_eb_equivalence, run_oracle_agreement
-from .kripke import check, model_loads, validate
+from .fuzz import FRAGMENTS, run_eb_equivalence, run_oracle_agreement
+from .kripke import check, model_loads
 from .limits import require_at_least_one, resolve_budget
 from .parser import is_var_name, parse, parse_var_name
 from .tableau_constant import decide_constant_eb
@@ -98,7 +99,10 @@ def _cmd_check(args) -> int:
         name, sep, element = item.partition("=")
         if not sep or not is_var_name(name) or not element:
             raise BfomlError(f"bad --assign {item!r}, expected var=element")
-        assignment[parse_var_name(name)] = element
+        var = parse_var_name(name)
+        if var in assignment:
+            raise BfomlError(f"--assign gives {var} more than once")
+        assignment[var] = element
     value = check(model, args.world, assignment, formula)
     print("true" if value else "false")
     return 0 if value else EXIT_FALSE
@@ -169,12 +173,14 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    violation = validate(model_loads(_read(args.model_file)))
-    if violation is None:
-        print("ok")
-        return 0
-    print(f"violation: {violation.code} at {violation.subject}: {violation.message}")
-    return 1
+    try:
+        model_loads(_read(args.model_file))
+    except InvalidModelError as exc:
+        violation = exc.violation
+        print(f"violation: {violation.code} at {violation.subject}: {violation.message}")
+        return 1
+    print("ok")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     fz = command("fuzz", "seeded differential testing", _cmd_fuzz, formula=False)
     fz.add_argument("--seed", type=int, default=1)
     fz.add_argument("--count", type=int, default=100)
-    fz.add_argument("--fragment", choices=("full", "eb", "ed"), default="full")
+    fz.add_argument("--fragment", choices=tuple(FRAGMENTS), default="full")
     fz.add_argument("--semantics", choices=SEMANTICS, default="increasing")
     fz.add_argument("--max-worlds", type=int, default=4)
     fz.add_argument("--max-domain", type=int, default=3)
@@ -235,11 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Reject empty output paths and numbers that make no sense, then fill in
-    the default budget."""
+    """Reject empty output paths, a --fo-model without --witness and numbers
+    that make no sense, then fill in the default budget."""
     for name in ("model", "trace", "witness"):
         if getattr(args, name, None) == "":
             raise BfomlError(f"--{name} needs a file path, got an empty one")
+    if getattr(args, "fo_model", None) is not None and args.witness is None:
+        raise BfomlError("--fo-model needs --witness: the relational model only builds a witness")
     for name in ("budget", "oracle_budget", "max_worlds", "max_domain"):
         value = getattr(args, name, None)
         if value is not None:

@@ -357,9 +357,6 @@ def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker):
         local={worlds[i]: {elements[b] for b in delta[i]} for i in range(n)},
         rho=rho,
     )
-    violation = model.validate()
-    if violation is not None:
-        raise InternalSolverError(f"oracle produced an invalid model: {violation}")
     if not check(model, worlds[0], sigma0, psi):
         raise InternalSolverError(
             "oracle model failed independent re-evaluation; grounding and "

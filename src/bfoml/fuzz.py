@@ -26,8 +26,8 @@ from .kripke import KripkeModel
 from .tableau_constant import decide_constant_eb
 from .tableau_increasing import decide_increasing
 
-# The generator's fragment names.
-_FRAGMENTS = {"full": Fragment.FULL, "eb": Fragment.EXISTS_BOX, "ed": Fragment.EXISTS_DIAMOND}
+# The generator's fragment names, in the order `bfoml fuzz --fragment` lists them.
+FRAGMENTS = {"full": Fragment.FULL, "eb": Fragment.EXISTS_BOX, "ed": Fragment.EXISTS_DIAMOND}
 # The predicate pool and size bounds every generated formula and model shares.
 _PREDICATES = (Predicate("P", 1), Predicate("Q", 2))
 _MAX_MODAL_DEPTH = 3
@@ -40,10 +40,10 @@ class FormulaGenerator:
 
     def __init__(self, seed: int, fragment: str = "full",
                  variables: tuple[str, ...] = ("x", "y", "u", "v")):
-        if fragment not in _FRAGMENTS:
-            raise ArgumentError(f"fragment must be one of {sorted(_FRAGMENTS)}")
+        if fragment not in FRAGMENTS:
+            raise ArgumentError(f"fragment must be one of {sorted(FRAGMENTS)}")
         self.rng = random.Random(seed)
-        self.kinds = FRAGMENT_BUNDLES[_FRAGMENTS[fragment]]
+        self.kinds = FRAGMENT_BUNDLES[FRAGMENTS[fragment]]
         if not variables:
             raise ArgumentError("variables must name at least one variable")
         self.variables = tuple(Var(n) for n in variables)

@@ -3,10 +3,12 @@
 A model carries a finite set of worlds, a finite global domain, an
 accessibility relation, a nonempty local domain per world that grows along
 accessibility edges, and a per-world interpretation of every predicate.
-Worlds and domain elements are plain strings.  A model's fields cannot be
-reassigned, but ``local`` and ``rho`` are plain dicts: a caller can change
-them, and a model is not hashable.  Nothing here mutates a model or an
-assignment, so one that no caller changes can be shared across threads.
+Worlds and domain elements are plain strings.  A model checks these rules
+when it is built (``validate`` lists them) and raises ``InvalidModelError``
+on the first one broken, so every model that exists is valid and ``check``
+trusts it.  It is read-only once built: its fields cannot be reassigned, and
+``local`` and ``rho`` are read-only mappings, so a model is not hashable but
+can be shared across threads.  Nothing here mutates an assignment.
 
 The JSON exchange format (used by the CLI and emitted by the solvers)::
 
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
-from .errors import (InternalSolverError, InvalidModelError,
-                     IrrelevantAssignmentError, ModelFormatError,
+from .errors import (InvalidModelError, IrrelevantAssignmentError, ModelFormatError,
                      UnboundVariableError, UnknownWorldError)
 from .formulas import (And, Atom, Bot, Bundle, Formula, Implies, Mod, Not, Or,
                        Quant, Top, Var, free_vars, var_key)
@@ -41,16 +43,27 @@ class KripkeModel:
     worlds: tuple[str, ...]
     domain: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    local: dict[str, frozenset[str]]
-    rho: dict[str, dict[str, frozenset[tuple[str, ...]]]]
+    local: Mapping[str, frozenset[str]]
+    rho: Mapping[str, Mapping[str, frozenset[tuple[str, ...]]]]
     _succ: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Keep read-only copies of local and rho, then refuse a broken rule."""
+        object.__setattr__(self, "local", MappingProxyType(dict(self.local)))
+        object.__setattr__(self, "rho", MappingProxyType(
+            {w: MappingProxyType(dict(preds)) for w, preds in self.rho.items()}))
+        violation = validate(self)
+        if violation is not None:
+            raise InvalidModelError(violation)
         succ: dict[str, list[str]] = {w: [] for w in self.worlds}
         for w, v in sorted(self.edges):
-            if w in succ:
-                succ[w].append(v)
+            succ[w].append(v)
         object.__setattr__(self, "_succ", {w: tuple(vs) for w, vs in succ.items()})
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle, so a pickle rebuilds the model.
+        return (KripkeModel.create, (self.worlds, self.domain, self.edges, dict(self.local),
+                                     {w: dict(preds) for w, preds in self.rho.items()}))
 
     @classmethod
     def create(cls, worlds, domain, edges, local, rho) -> "KripkeModel":
@@ -78,20 +91,17 @@ class KripkeModel:
     @property
     def is_constant_domain(self) -> bool:
         full = frozenset(self.domain)
-        return all(self.local.get(w) == full for w in self.worlds)
+        return all(self.local[w] == full for w in self.worlds)
 
     def facts(self, world: str, predicate: str) -> frozenset[tuple[str, ...]]:
         return self.rho.get(world, {}).get(predicate, frozenset())
-
-    def validate(self) -> ModelViolation | None:
-        return validate(self)
 
     def to_json_dict(self) -> dict:
         return {
             "worlds": list(self.worlds),
             "domain": list(self.domain),
             "edges": [list(e) for e in sorted(self.edges)],
-            "local": {w: sorted(self.local.get(w, ())) for w in self.worlds},
+            "local": {w: sorted(self.local[w]) for w in self.worlds},
             "rho": {w: {p: sorted(list(t) for t in ts)
                         for p, ts in sorted(self.rho.get(w, {}).items())}
                     for w in self.worlds},
@@ -121,14 +131,11 @@ def is_pair_list(value: object) -> bool:
 def model_from_json_dict(doc: object) -> KripkeModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    for key in ("worlds", "domain", "edges", "local", "rho"):
+    keys = ("worlds", "domain", "edges", "local", "rho")
+    for key in keys:
         if key not in doc:
             raise ModelFormatError(f"model document missing key {key!r}")
-    worlds = doc["worlds"]
-    domain = doc["domain"]
-    edges = doc["edges"]
-    local = doc["local"]
-    rho = doc["rho"]
+    worlds, domain, edges, local, rho = (doc[key] for key in keys)
     if not is_string_list(worlds):
         raise ModelFormatError("worlds must be a list of strings")
     if not is_string_list(domain):
@@ -155,10 +162,12 @@ def model_loads(text: str) -> KripkeModel:
 def validate(model: KripkeModel) -> ModelViolation | None:
     """Return the first violated structural invariant, or None.
 
-    Check order: nonempty worlds and domain, local-domain well-formedness
-    (known worlds, subsets of the domain, nonempty), edge endpoints,
-    domain growth along edges, then interpretation tuples (elements drawn
-    from the domain, one arity per predicate name).
+    These are the rules a model checks when it is built, so this returns
+    None for every model that exists.  Check order: nonempty worlds and
+    domain, local-domain well-formedness (known worlds, subsets of the
+    domain, nonempty), edge endpoints, domain growth along edges, then
+    interpretation tuples (elements drawn from the domain, one arity per
+    predicate name).
     """
     if not model.worlds:
         return ModelViolation("empty-worlds", "-", "a model needs at least one world")
@@ -210,13 +219,12 @@ class _Evaluator:
 
     A bundle's value is memoized on (world, node, values of its free
     variables); booleans and literals are cheap to recompute.  Each world's
-    sorted local domain and successors are computed once, together with a
-    test that the local domain does not shrink along any edge out of the
-    world.  ``check`` tests that the assignment is relevant at the root, and
-    a bundle at w binds its variable to an element of w's local domain before
-    it moves to a successor v.  So, by induction over the evaluation, every
-    assignment met at w is relevant at w, and when no edge shrinks it is
-    relevant at every successor too: the edge test implies that every
+    sorted local domain and successors are computed once.  ``check`` tests
+    that the assignment is relevant at the root, and a bundle at w binds its
+    variable to an element of w's local domain before it moves to a
+    successor v.  A model refuses, when it is built, a local domain that
+    shrinks along an edge.  So, by induction over the evaluation, every
+    assignment met at w is relevant at w and at every successor of w: every
     assignment stays inside the local domain it is evaluated in.
     """
 
@@ -226,16 +234,11 @@ class _Evaluator:
         self._memo: dict[tuple[str, int, tuple[str, ...]], bool] = {}
 
     def frame(self, world: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """(sorted local domain, successors) of a world whose edges keep its domain."""
+        """(sorted local domain, successors) of a world, computed once."""
         got = self._frames.get(world)
         if got is None:
-            here = self.model.local[world]
-            succs = self.model.successors(world)
-            for v in succs:
-                if not here <= self.model.local[v]:
-                    raise InternalSolverError(
-                        f"local domain shrinks on the edge from {world} to {v}")
-            got = self._frames[world] = (tuple(sorted(here)), succs)
+            got = self._frames[world] = (tuple(sorted(self.model.local[world])),
+                                         self.model.successors(world))
         return got
 
     def eval(self, world: str, sigma: dict[Var, str], f: Formula) -> bool:
@@ -296,12 +299,10 @@ class _Evaluator:
 def check(model: KripkeModel, world: str, assignment: Assignment, formula: Formula) -> bool:
     """Truth of formula at (model, world) under the given assignment.
 
-    The assignment must be relevant at the world (every value inside the local
+    The model is trusted: it checked its rules when it was built.  The
+    assignment must be relevant at the world (every value inside the local
     domain) and must cover every free variable of the formula.
     """
-    violation = validate(model)
-    if violation is not None:
-        raise InvalidModelError(violation)
     if world not in model.local:
         raise UnknownWorldError(f"world {world!r} is not in the model")
     missing = free_vars(formula) - set(assignment)

@@ -396,3 +396,35 @@ def test_witness_from_an_fo_model_with_a_pair_outside_its_domain_is_a_one_line_e
     assert_one_line_error(capsys, ["translate", "ALL x . R(x,x)", "--witness", str(out),
                                    "--fo-model", str(fo_model)], "uses unknown elements")
     assert not out.exists()
+
+
+SHRINKING = {
+    "worlds": ["w0", "w1"], "domain": ["a", "b"], "edges": [["w0", "w1"]],
+    "local": {"w0": ["a", "b"], "w1": ["a"]}, "rho": {},
+}
+
+
+def test_check_on_a_shrinking_model_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "shrinking.json"
+    path.write_text(json.dumps(SHRINKING))
+    assert_one_line_error(capsys, ["check", str(path), "T", "--world", "w0"],
+                          "error: invalid model: monotonicity at (w0,w1): ")
+
+
+def test_check_reports_a_bad_model_before_a_bad_formula(tmp_path, capsys):
+    path = tmp_path / "shrinking.json"
+    path.write_text(json.dumps(SHRINKING))
+    assert_one_line_error(capsys, ["check", str(path), "(P(x", "--world", "w0"],
+                          "invalid model: monotonicity")
+
+
+def test_assign_refuses_a_variable_given_twice(model_file, capsys):
+    assert_one_line_error(capsys, ["check", model_file, "P(x)", "--world", "w0",
+                                   "--assign", "x=a", "--assign", "x=b"],
+                          "--assign gives x more than once")
+
+
+def test_fo_model_without_witness_is_rejected(tmp_path, capsys):
+    assert_one_line_error(capsys, ["translate", "EX x . R(x,x)", "--fo-model",
+                                   str(tmp_path / "missing.json")],
+                          "--fo-model needs --witness")

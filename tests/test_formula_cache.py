@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from bfoml import (InternalSolverError, InvalidModelError, KripkeModel, Var,
-                   check, cleanse, decide_constant_eb, parse, substitute, to_nnf)
+                   cleanse, decide_constant_eb, parse, substitute, to_nnf)
 from bfoml import formulas, tableau_common
 from bfoml.formulas import (And, Atom, Bot, Bundle, Implies, Not, Or, Top,
                             bound_vars, boolean_connective_count, formula_key,
@@ -231,13 +231,14 @@ def test_each_label_is_measured_once(monkeypatch):
 
 
 def test_evaluator_rejects_a_shrinking_edge():
-    model = KripkeModel.create(
-        worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
-        local={"w": {"a", "b"}, "v": {"a"}}, rho={"v": {"P": {("a",)}}})
-    with pytest.raises(InternalSolverError, match="shrinks on the edge from w to v"):
-        _Evaluator(model).eval("w", {}, parse("E x <> P(x)"))
-    with pytest.raises(InvalidModelError):
-        check(model, "w", {}, parse("E x <> P(x)"))
+    # The evaluator trusts a model's edges to keep its domain: a model whose
+    # domain shrinks along an edge cannot be built.
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(
+            worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
+            local={"w": {"a", "b"}, "v": {"a"}}, rho={"v": {"P": {("a",)}}})
+    assert info.value.violation.code == "monotonicity"
+    assert info.value.violation.subject == "(w,v)"
     grown = KripkeModel.create(
         worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
         local={"w": {"a"}, "v": {"a", "b"}}, rho={"v": {"P": {("a",)}}})

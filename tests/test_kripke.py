@@ -1,10 +1,15 @@
-"""Models: validation order, the satisfaction relation, and its error paths."""
+"""Models: the rules checked when one is built, the satisfaction relation, and its
+error paths."""
+
+import json
+import pickle
 
 import pytest
 
 from bfoml import (InvalidModelError, IrrelevantAssignmentError, KripkeModel,
-                   ModelFormatError, UnboundVariableError, UnknownWorldError,
-                   Var, check, model_loads, parse, validate)
+                   ModelFormatError, ModelViolation, UnboundVariableError,
+                   UnknownWorldError, Var, check, decide_increasing, model_loads,
+                   parse, validate)
 from bfoml.formulas import And, Bundle, Mod, Not, Quant, free_vars
 from bfoml.fuzz import FormulaGenerator, ModelGenerator
 
@@ -20,27 +25,91 @@ def test_validate_ok():
 
 
 def test_validate_monotonicity():
-    m = KripkeModel.create(
-        worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
-        local={"w": {"a", "b"}, "v": {"a"}}, rho={})
-    violation = validate(m)
-    assert violation.code == "monotonicity"
-    assert violation.subject == "(w,v)"
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(
+            worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
+            local={"w": {"a", "b"}, "v": {"a"}}, rho={})
+    assert info.value.violation.code == "monotonicity"
+    assert info.value.violation.subject == "(w,v)"
 
 
 def test_validate_empty_local_domain():
-    m = KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
                            local={"w": set()}, rho={})
-    violation = validate(m)
-    assert violation.code == "empty-local-domain"
-    assert violation.subject == "w"
+    assert info.value.violation.code == "empty-local-domain"
+    assert info.value.violation.subject == "w"
 
 
 def test_validate_arity_consistency():
-    m = KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
                            local={"w": {"a"}},
                            rho={"w": {"P": {("a",), ("a", "a")}}})
-    assert validate(m).code == "arity-inconsistent"
+    assert info.value.violation.code == "arity-inconsistent"
+    assert info.value.violation.subject == "P"
+
+
+# One broken model per violation that validate reports, in its check order.
+BROKEN = [
+    (dict(worlds=[]), "empty-worlds", "-", "a model needs at least one world"),
+    (dict(domain=[]), "empty-domain", "-", "a model needs a nonempty domain"),
+    (dict(local={"w": {"a"}, "v": {"a"}, "z": {"a"}}), "unknown-world", "z",
+     "local domain given for unknown world"),
+    (dict(local={"w": {"a"}}), "missing-local", "v", "world has no local domain"),
+    (dict(local={"w": {"a", "c"}, "v": {"a"}}), "local-outside-domain", "w",
+     "local domain contains unknown elements ['c']"),
+    (dict(local={"w": {"a"}, "v": set()}), "empty-local-domain", "v",
+     "local domain is empty"),
+    (dict(edges=[("w", "z")]), "unknown-world", "(w,z)", "edge endpoint is not a world"),
+    (dict(local={"w": {"a", "b"}, "v": {"a"}}), "monotonicity", "(w,v)",
+     "local domain must not shrink along an edge; lost ['b']"),
+    (dict(rho={"y": {"P": {("a",)}}}), "unknown-world", "y",
+     "interpretation given for unknown world"),
+    (dict(rho={"v": {"P": {("a",)}}, "w": {"P": {("a", "b")}}}), "arity-inconsistent", "P",
+     "predicate interpreted at arities 1 and 2"),
+    (dict(rho={"v": {"Q": {("a", "c")}}}), "tuple-outside-domain", "(v,Q)",
+     "tuple element 'c' is not in the domain"),
+]
+
+
+@pytest.mark.parametrize("broken, code, subject, message", BROKEN,
+                         ids=[f"{code}-{subject}" for _, code, subject, _ in BROKEN])
+def test_building_a_model_that_breaks_a_rule_raises(broken, code, subject, message):
+    parts = dict(worlds=["w", "v"], domain=["a", "b"], edges=[("w", "v")],
+                 local={"w": {"a"}, "v": {"a", "b"}}, rho={})
+    parts.update(broken)
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(**parts)
+    assert info.value.violation == ModelViolation(code, subject, message)
+    assert str(info.value) == f"invalid model: {code} at {subject}: {message}"
+    with pytest.raises(InvalidModelError) as info:
+        model_loads(json.dumps(parts, default=sorted))
+    assert info.value.violation == ModelViolation(code, subject, message)
+
+
+def test_local_and_rho_are_read_only():
+    m = single_world(facts=[("a",)])
+    with pytest.raises(TypeError):
+        m.local["w"] = frozenset()
+    with pytest.raises(TypeError):
+        m.rho["w"] = {}
+    with pytest.raises(TypeError):
+        m.rho["w"]["P"] = frozenset()
+    assert m.local["w"] == frozenset({"a"}) and m.facts("w", "P") == {("a",)}
+
+
+def test_a_model_and_a_decision_survive_a_pickle_round_trip():
+    m = KripkeModel.create(
+        worlds=["w0", "w1"], domain=["a", "b"], edges=[("w0", "w1")],
+        local={"w0": {"a"}, "w1": {"a", "b"}},
+        rho={"w1": {"P": {("b",)}, "Q": {("a", "b")}}})
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and again.dumps() == m.dumps()
+    assert again.successors("w0") == ("w1",)
+    result = decide_increasing(parse("(E x [] P(x) & A y <> Q(y))"))
+    assert result.is_sat
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_check_atomic():
@@ -56,10 +125,12 @@ def test_check_vacuous_box_vs_diamond():
 
 
 def test_check_rejects_invalid_model():
-    m = KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
+    # No invalid model reaches check: building one raises.
+    with pytest.raises(InvalidModelError) as info:
+        KripkeModel.create(worlds=["w"], domain=["a"], edges=[],
                            local={"w": set()}, rho={})
-    with pytest.raises(InvalidModelError):
-        check(m, "w", {}, parse("T"))
+    assert info.value.violation.code == "empty-local-domain"
+    assert info.value.violation.subject == "w"
 
 
 def test_check_unknown_world():
