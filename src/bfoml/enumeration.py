@@ -9,26 +9,34 @@ interpretation is decided by grounding the formula into a propositional
 constraint over (world, predicate, tuple) atoms and running a small
 backtracking SAT search on it.
 
-Frames are pruned in two sound ways: every world must be reachable from the
-root (truth at the root only depends on the generated submodel), and frames
-that are isomorphic under a permutation of the non-root worlds are visited
-once.  Within the bounds the search is exhaustive up to these reductions, so
-``None`` means no bounded model exists.  A work budget caps runtime and
+Frames are pruned in three sound ways, all from the generated-submodel
+lemma (Blackburn, de Rijke & Venema, *Modal Logic*, 2001, ch. 2): truth of a
+formula of modal depth d at the root depends only on the worlds at most d
+steps from it, and local domains still grow along every edge (or stay
+constant) in that submodel.  So every world must be at most
+``reach = min(d, n_worlds - 1)`` steps from the root, a pass with more than
+one world is skipped when the reach is 0, and frames that are isomorphic
+under a permutation of the non-root worlds are visited once.  None of this
+changes the first model found: a model with a world beyond the reach
+truncates to one with fewer worlds, which an earlier world-count pass meets
+first.  Within the bounds the search is exhaustive up to these reductions,
+so ``None`` means no bounded model exists.  A work budget caps runtime and
 raises ResourceLimitError when exhausted.
 
-The frames do not depend on the formula, only on the shape (number of
-worlds, domain size, semantics, number of free variables), so each shape's
-canonical reachable frames are enumerated once per process and kept in a
-log, which later calls replay (see ``_frames``).  A frame has one form from
-enumeration to model: ``succs``, a tuple of each world's successor indices,
-and ``delta``, each world's local domain as a set of element indices.  The
-log is filled lazily, only as far as some call has read it, and each entry
-holds, next to its frame, its charge: the budget the enumeration spent to
-reach it, one unit per edge set and per local-domain map tried.  So a replay
-spends exactly what the enumeration would have and runs out of budget at the
-same place.  A log's memory is therefore bounded by the largest budget any
-call has spent on the shape's frames.  The logs are module state and are
-not thread-safe: calls to ``enumerate_sat`` must not run concurrently.
+The frames depend on the formula only through the reach, so they are fixed
+by the shape (number of worlds, domain size, semantics, number of free
+variables, reach).  Each shape's canonical frames are enumerated once per
+process and kept in a log, which later calls replay (see ``_frames``).  A
+frame has one form from enumeration to model: ``succs``, a tuple of each
+world's successor indices, and ``delta``, each world's local domain as a set
+of element indices.  The log is filled lazily, only as far as some call has
+read it, and each entry holds, next to its frame, its charge: the budget the
+enumeration spent to reach it, one unit per edge set and per local-domain
+map tried.  So a replay spends exactly what the enumeration would have and
+runs out of budget at the same place.  A log's memory is therefore bounded
+by the largest budget any call has spent on the shape's frames.  The logs
+are module state and are not thread-safe: calls to ``enumerate_sat`` must
+not run concurrently.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, permutations, product
 
-from .errors import ArgumentError, InternalSolverError
+from .errors import ArgumentError, InternalSolverError, ResourceLimitError
 from .formulas import (And, Atom, Bot, Bundle, Formula, Mod, Not, Or, Quant,
-                       Top, Var, cleanse, free_vars, to_nnf, var_key)
+                       Top, Var, cleanse, free_vars, modal_depth, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
 from .limits import Budget, require_at_least_one
 
@@ -51,14 +59,22 @@ class EnumerationResult:
     root: str
 
 
-def _reachable_from_root(succs: tuple[tuple[int, ...], ...]) -> bool:
+def _reachable_from_root(succs: tuple[tuple[int, ...], ...],
+                         reach: int | None = None) -> bool:
+    """Whether every world is at most reach steps from world 0 (any number
+    of steps when reach is None)."""
     seen = {0}
-    frontier = [0]
-    while frontier:
-        for b in succs[frontier.pop()]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
+    level = [0]
+    steps = len(succs) if reach is None else reach
+    while level and steps > 0:
+        steps -= 1
+        next_level = []
+        for a in level:
+            for b in succs[a]:
+                if b not in seen:
+                    seen.add(b)
+                    next_level.append(b)
+        level = next_level
     return len(seen) == len(succs)
 
 
@@ -218,7 +234,12 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     below 1 raises BfomlError, and an unknown semantics ArgumentError.
     Search order: number of worlds, then domain size, then edge sets, then
     local-domain maps (increasing semantics only; constant semantics fixes
-    them), then interpretations.
+    them), then interpretations.  Edge sets with a world more than the
+    formula's modal depth steps from the root are skipped, and so is every
+    pass with more than one world when that depth is 0; neither changes the
+    first model found, only the budget spent to reach it.  A formula nested
+    too deeply for grounding or the propositional search raises
+    ResourceLimitError.
     """
     require_semantics(semantics)
     require_at_least_one("max_worlds", max_worlds)
@@ -234,11 +255,15 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     fillers = [f"d{k}" for k in range(max_domain + len(fv_names))
                if f"d{k}" not in fv_names][:max_domain]
 
+    depth = modal_depth(psi)
     for n_worlds in range(1, max_worlds + 1):
+        reach = min(depth, n_worlds - 1)
+        if n_worlds > 1 and reach == 0:
+            break
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
             elements = (fv_names + fillers)[:n_dom]
-            shape = (n_worlds, n_dom, semantics, len(fv_names))
+            shape = (n_worlds, n_dom, semantics, len(fv_names), reach)
             for succs, delta in _frames(shape, tracker):
                 result = _try_frame(psi, worlds, elements, succs, delta,
                                     sigma0, tracker)
@@ -247,12 +272,12 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     return None
 
 
-# The frame log of each shape (n_worlds, n_dom, semantics, n_free): a list of
-# (charge, succs, delta) entries and the generator that extends it.
-_FRAME_LOGS: dict[tuple[int, int, str, int], tuple[list, object]] = {}
+# The frame log of each shape (n_worlds, n_dom, semantics, n_free[, reach]):
+# a list of (charge, succs, delta) entries and the generator that extends it.
+_FRAME_LOGS: dict[tuple, tuple[list, object]] = {}
 
 
-def _frames(shape: tuple[int, int, str, int], tracker: Budget):
+def _frames(shape: tuple, tracker: Budget):
     """The canonical reachable frames of a shape as (succs, delta), in order.
 
     Reads the shape's log, extending it from _frame_search when this call
@@ -296,14 +321,16 @@ def _frames(shape: tuple[int, int, str, int], tracker: Budget):
         yield succs, delta
 
 
-def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int):
+def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int,
+                  reach: int | None = None):
     """The enumeration that _frames replays, as log entries in search order.
 
-    Yields (charge, succs, delta) per canonical reachable frame, then
-    (charge, None, None).  succs holds each world's successor indices as a
-    sorted row, one of the 2**n_worlds rows in the order of their bit masks;
-    world 0's row varies fastest, so edge sets come in the order of the
-    n_worlds**2-bit mask whose bit i * n_worlds + j stands for the edge
+    Yields (charge, succs, delta) per canonical frame whose every world is
+    at most reach steps from world 0 (reachable at all when reach is None),
+    then (charge, None, None).  succs holds each world's successor indices
+    as a sorted row, one of the 2**n_worlds rows in the order of their bit
+    masks; world 0's row varies fastest, so edge sets come in the order of
+    the n_worlds**2-bit mask whose bit i * n_worlds + j stands for the edge
     (i, j).  delta gives each world's local domain as a set of element
     indices, the first n_free of which the root must hold.  Equal deltas are
     one shared tuple.
@@ -319,7 +346,7 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int):
     for reversed_succs in product(rows, repeat=n_worlds):
         succs = reversed_succs[::-1]
         charge += 1
-        if not _reachable_from_root(succs):
+        if not _reachable_from_root(succs, reach):
             continue
         if semantics == "constant":
             delta_choices = [(full,) * n_worlds]
@@ -342,8 +369,14 @@ def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker):
                    for i in range(n)}
     succ_names = {worlds[i]: tuple(sorted(worlds[j] for j in row))
                   for i, row in enumerate(succs)}
-    root_node = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
-    assignment = _sat_assignment(root_node, tracker)
+    # Grounding and the propositional search recurse once per nesting level
+    # of the formula or the ground DAG and once per decided atom.
+    try:
+        root_node = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
+        assignment = _sat_assignment(root_node, tracker)
+    except RecursionError:
+        raise ResourceLimitError(
+            "bounded model search nested too deeply; result is inconclusive") from None
     if assignment is None:
         return None
     rho: dict[str, dict[str, set[tuple[str, ...]]]] = {}

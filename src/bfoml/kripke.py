@@ -86,7 +86,11 @@ class KripkeModel:
         )
 
     def successors(self, world: str) -> tuple[str, ...]:
-        return self._succ.get(world, ())
+        """The worlds the given world sees; UnknownWorldError if it is not a world."""
+        try:
+            return self._succ[world]
+        except KeyError:
+            raise UnknownWorldError(f"world {world!r} is not in the model") from None
 
     @property
     def is_constant_domain(self) -> bool:

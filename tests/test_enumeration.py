@@ -1,4 +1,5 @@
-"""Bounded model search: frozen examples, self-consistency, determinism, frame log replay."""
+"""Bounded model search: frozen examples, self-consistency, determinism, frame log replay,
+the modal-depth prune."""
 
 from itertools import permutations, product
 
@@ -6,7 +7,7 @@ import pytest
 
 from bfoml import (ArgumentError, BfomlError, ResourceLimitError, check,
                    enumerate_sat, enumeration, fuzz, identity_assignment, parse)
-from bfoml.formulas import cleanse, free_vars, to_nnf, var_key
+from bfoml.formulas import cleanse, free_vars, modal_depth, to_nnf, var_key
 from bfoml.limits import Budget
 
 BUDGET_OUT = "bounded model search ran out of budget; result is inconclusive"
@@ -118,9 +119,11 @@ def test_oracle_agreement_rejects_ed_under_constant_semantics_before_deciding(mo
 # reachability walk and its own orbit minimum, so a fault in the module's
 # _reachable_from_root or _is_canonical changes the expected sequence.
 
-def reference_reachable(succs):
+def reference_reachable(succs, reach=None):
+    """Every world is at most reach steps from world 0 (any number of steps
+    when reach is None)."""
     reached = {0}
-    for _ in succs:
+    for _ in range(len(succs) if reach is None else reach):
         reached |= {j for i in reached for j in succs[i]}
     return len(reached) == len(succs)
 
@@ -140,7 +143,7 @@ def reference_canonical(succs, delta):
     return image(range(n)) == min(image((0,) + rest) for rest in permutations(range(1, n)))
 
 
-def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
+def reference_frames(n_worlds, n_dom, semantics, n_free, reach=None, *, tracker):
     full = frozenset(range(n_dom))
     nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
                 for mask in range(1, 1 << n_dom)]
@@ -150,7 +153,7 @@ def reference_frames(n_worlds, n_dom, semantics, n_free, tracker):
         succs = tuple(
             tuple(j for j in range(n_worlds) if edge_mask >> (i * n_worlds + j) & 1)
             for i in range(n_worlds))
-        if not reference_reachable(succs):
+        if not reference_reachable(succs, reach):
             continue
         if semantics == "constant":
             delta_choices = [tuple([full] * n_worlds)]
@@ -175,11 +178,14 @@ def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
     fillers = [f"d{k}" for k in range(max_domain + len(fv_names))
                if f"d{k}" not in fv_names][:max_domain]
     for n_worlds in range(1, max_worlds + 1):
+        reach = min(modal_depth(psi), n_worlds - 1)
+        if n_worlds > 1 and reach == 0:
+            break
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
             elements = (fv_names + fillers)[:n_dom]
             for succs, delta in reference_frames(n_worlds, n_dom, semantics,
-                                                 len(fv_names), tracker):
+                                                 len(fv_names), reach, tracker=tracker):
                 result = enumeration._try_frame(psi, worlds, elements, succs, delta,
                                                 sigma0, tracker)
                 if result is not None:
@@ -265,12 +271,14 @@ def test_interrupted_fill_leaves_later_calls_correct(monkeypatch):
 @pytest.mark.parametrize("shape", [
     (1, 2, "increasing", 0), (2, 2, "increasing", 1), (3, 2, "increasing", 0),
     (3, 1, "constant", 0), (3, 2, "constant", 2),
+    # The fifth element bounds the steps from the root to every world.
+    (3, 2, "increasing", 0, 1), (3, 2, "increasing", 1, 0), (3, 2, "constant", 2, 1),
 ])
 def test_log_equals_streaming_frame_sequence(shape):
     enumeration._FRAME_LOGS.pop(shape, None)
     counter = Budget(10 ** 9, BUDGET_OUT)
     expected = [(counter.spent, edges, delta)
-                for edges, delta in reference_frames(*shape, counter)]
+                for edges, delta in reference_frames(*shape, tracker=counter)]
     expected.append((counter.spent, None, None))
     tracker = Budget(10 ** 9, BUDGET_OUT)
     got = [(tracker.spent, edges, delta)
@@ -280,3 +288,56 @@ def test_log_equals_streaming_frame_sequence(shape):
     log, _ = enumeration._FRAME_LOGS[shape]
     assert len(log) == len(expected)
     assert sum(charge for charge, _, _ in log) == expected[-1][0]
+
+
+# The modal-depth prune against the full search: a formula of modal depth d
+# is true at the root iff it is true in the submodel of the worlds within d
+# steps, so a model with a world beyond the reach truncates to a smaller one
+# that an earlier world-count pass meets first.  The prune may only save
+# budget: every conclusive unpruned answer stays the same, byte for byte.
+
+def unpruned(monkeypatch, search, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "modal_depth", lambda formula: 10 ** 6)
+        return search(*args)
+
+
+@pytest.mark.parametrize("seed, fragment, semantics", [
+    (1, "full", "increasing"), (2, "eb", "constant"), (3, "ed", "increasing"),
+])
+def test_pruned_first_model_equals_the_unpruned_one(monkeypatch, seed, fragment, semantics):
+    real_try_frame = enumeration._try_frame
+    tried = []
+
+    def counting(*args):
+        tried.append(args)
+        return real_try_frame(*args)
+
+    monkeypatch.setattr(enumeration, "_try_frame", counting)
+    gen = fuzz.FormulaGenerator(seed, fragment=fragment)
+    drawn = [gen.formula() for _ in range(200)]
+    formulas = [f for f in drawn if modal_depth(cleanse(to_nnf(f))) >= 1]
+    # Without a model, so every 3-world frame within one step is searched.
+    formulas.append(parse("(E x <> P(x) & A y [] !P(y))"))
+    conclusive = frames_full = frames_pruned = 0
+    for f in formulas:
+        bounds = (f, 3, 3, semantics, 50_000)
+        tried.clear()
+        full = unpruned(monkeypatch, outcome, enumerate_sat, *bounds)
+        frames_full += len(tried)
+        tried.clear()
+        pruned = outcome(enumerate_sat, *bounds)
+        frames_pruned += len(tried)
+        if str(full).startswith("budget: "):
+            continue
+        assert pruned == full, f
+        conclusive += 1
+    assert len(formulas) > 60 and conclusive > 60
+    assert frames_pruned < frames_full
+
+
+def test_a_modal_free_formula_searches_one_world_only(monkeypatch):
+    f = parse("(P(x) & !P(x))")
+    with pytest.raises(ResourceLimitError, match=BUDGET_OUT):
+        unpruned(monkeypatch, enumerate_sat, f, 4, 3, "increasing", 2_000)
+    assert enumerate_sat(f, 4, 3, budget=2_000) is None

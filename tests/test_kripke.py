@@ -138,6 +138,13 @@ def test_check_unknown_world():
         check(single_world(), "nowhere", {}, parse("T"))
 
 
+def test_successors_of_an_unknown_world_raises():
+    m = KripkeModel.create(["w"], ["a"], [], {"w": {"a"}}, {})
+    assert m.successors("w") == ()
+    with pytest.raises(UnknownWorldError, match="'nowhere' is not in the model"):
+        m.successors("nowhere")
+
+
 def test_check_unbound_free_variable():
     with pytest.raises(UnboundVariableError):
         check(single_world(), "w", {}, parse("P(x)"))

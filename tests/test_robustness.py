@@ -154,3 +154,23 @@ def test_wide_or_chain_is_a_resource_limit():
 def test_cli_wide_or_chain_is_a_one_line_error(capsys):
     assert_one_line_error(capsys, ["sat", "--semantics", "constant", WIDE_OR_CHAIN],
                           "tableau search nested too deeply")
+
+
+# Grounding and the oracle's propositional search recurse once per nesting
+# level and once per decided atom, so a long conjunction chain is too deep
+# for them, while the tableau splits it into a label.
+ORACLE_TOO_DEEP = "bounded model search nested too deeply; result is inconclusive"
+
+
+def test_oracle_on_a_long_conjunction_built_in_code_is_a_resource_limit():
+    f = Atom(Predicate("P0", 0), ())
+    for i in range(1, 500):
+        f = And(Atom(Predicate(f"P{i}", 0), ()), f)
+    with pytest.raises(ResourceLimitError, match=ORACLE_TOO_DEEP):
+        enumerate_sat(f, 1, 1)
+    assert decide_increasing(f).is_sat
+
+
+def test_cli_oracle_on_a_long_conjunction_is_a_one_line_error(capsys):
+    text = "(P0(x) & " + "".join(f"(P{i}(x) & " for i in range(1, 699)) + "P699(x)" + ")" * 699
+    assert_one_line_error(capsys, ["oracle", text], ORACLE_TOO_DEEP)
