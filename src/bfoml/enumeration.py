@@ -23,6 +23,20 @@ first.  Within the bounds the search is exhaustive up to these reductions,
 so ``None`` means no bounded model exists.  A work budget caps runtime and
 raises ResourceLimitError when exhausted.
 
+A frame can also be refuted while it is ground.  The conjuncts of the
+formula's top-level ``&`` spine are ground one at a time, left to right, and
+after each one Boolean constraint propagation (``_Propagation``) derives
+literals that every model of the frame satisfies.  When some atom is forced
+both ways, or a disjunction that must hold has no disjunct left, the frame
+is dropped before the rest of the formula is ground and before any search.
+This cannot change a result.  Propagation derives only what every model
+satisfies, so a refuted frame has no model, and the search would have
+returned None on it.  On a frame that is not refuted, the search runs on one
+and-node over the conjuncts.  At every step that node has the same
+three-valued value and the same first unknown atom as the nested and-nodes
+of the spine, so the search makes the same decisions and finds the same
+first assignment.  Only the budget spent changes.
+
 The frames depend on the formula only through the reach, so they are fixed
 by the shape (number of worlds, domain size, semantics, number of free
 variables, reach).  Each shape's canonical frames are enumerated once per
@@ -99,14 +113,138 @@ def _is_canonical(succs: tuple[tuple[int, ...], ...],
     return True
 
 
+class _Propagation:
+    """Boolean constraint propagation over a ground DAG that grows by conjuncts.
+
+    Every node given to ``need`` is true in every model of the frame.  A node
+    is false once its three-valued value under the forced atoms is False: a
+    literal whose atom is forced the other way, an and-node with a false
+    child, an or-node whose children are all false.  A needed and-node needs
+    all of its children, a needed or-node with exactly one child that is not
+    false needs that child, and a needed literal forces its atom.  A needed
+    node that is false refutes the frame; this covers an atom forced both
+    ways and a needed or-node with no open child.
+
+    Only a needed or-node must learn when its children turn false, so only
+    the nodes under needed or-nodes are registered, once each, with links to
+    the registered nodes above them; a node that turns false tells only
+    those.  The state carries
+    over from one conjunct to the next, so the work over a whole conjunction
+    is linear in the size of its DAG.  Grounding has already charged every
+    node once, so registering is free; each node that ``need`` visits costs
+    one budget unit, as in eval3.  Nodes are keyed by id, which is safe while
+    the grounding memo and the DAG built from it hold every node.
+    """
+
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self.forced: dict[tuple, bool] = {}
+        self.lits: dict[tuple, list] = {}  # (atom, sign) -> registered literal nodes
+        self.parents: dict[int, list] = {}  # id(registered node) -> registered nodes above it
+        self.open: dict[int, int] = {}  # id(registered or-node) -> children not false
+        self.false: set[int] = set()
+        self.needed: set[int] = set()
+
+    def _register(self, root) -> None:
+        """Register the nodes under root that are not yet registered,
+        children first, so that each one's falsity follows from theirs."""
+        parents, false = self.parents, self.false
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in parents:
+                continue
+            kind = node[0]
+            if kind != "lit" and not ready:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node[1] if id(c) not in parents)
+                continue
+            parents[id(node)] = []
+            if kind == "lit":
+                self.lits.setdefault((node[2], node[1]), []).append(node)
+                if self.forced.get(node[2], node[1]) is not node[1]:
+                    false.add(id(node))
+                continue
+            left = 0
+            for c in node[1]:
+                parents[id(c)].append(node)
+                left += id(c) not in false
+            if kind == "or":
+                self.open[id(node)] = left
+            if left == 0 or (kind == "and" and left < len(node[1])):
+                false.add(id(node))
+
+    def need(self, root) -> bool:
+        """Require root, a conjunct's node, and propagate; False when that
+        refutes the frame."""
+        parents, false, open_ = self.parents, self.false, self.open
+        needed, forced = self.needed, self.forced
+        needs, fallen = [root], []
+        visits = 0
+        try:
+            while needs or fallen:
+                visits += 1
+                if fallen:  # a node turned false: tell the nodes above it
+                    node = fallen.pop()
+                    if id(node) in needed:
+                        return False
+                    for p in parents[id(node)]:
+                        key = id(p)
+                        if key in false:
+                            continue
+                        if p[0] == "or":
+                            left = open_[key] = open_[key] - 1
+                            if left == 1 and key in needed:
+                                needs.append(p)
+                            if left:
+                                continue
+                        false.add(key)
+                        fallen.append(p)
+                    continue
+                node = needs.pop()
+                key = id(node)
+                if key in false:
+                    return False
+                kind = node[0]
+                if key in needed and kind != "or":
+                    continue
+                needed.add(key)
+                if kind == "lit":
+                    value = forced.get(node[2])
+                    if value is None:
+                        forced[node[2]] = node[1]
+                        for lit in self.lits.get((node[2], not node[1]), ()):
+                            false.add(id(lit))
+                            fallen.append(lit)
+                    elif value is not node[1]:
+                        return False
+                elif kind == "and":
+                    needs.extend(node[1])
+                else:
+                    if key not in parents:
+                        self._register(node)
+                        if key in false:
+                            return False
+                    if open_[key] == 1:
+                        needs.extend(c for c in node[1] if id(c) not in false)
+            return True
+        finally:
+            self.budget.spend(visits)
+
+
 def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
             delta: dict[str, tuple[str, ...]], succs: dict[str, tuple[str, ...]],
             budget: Budget):
-    """Expand the NNF formula over a fixed frame into a propositional DAG.
+    """Expand the NNF formula over a fixed frame into a propositional DAG,
+    or refute the frame while doing so.
 
     Nodes are True, False, ("lit", sign, atom) with atom = (world, pred,
     elements), ("and", children) or ("or", children).  Sharing comes from a
-    memo on (subformula, world, relevant bindings).
+    memo on (subformula, world, relevant bindings).  The conjuncts of the
+    formula's top-level & spine are ground one at a time, left to right,
+    and _Propagation runs after each.  Returns False as soon as a conjunct
+    grounds to False or propagation refutes the frame, else the and-node of
+    the conjuncts' nodes (True when there are none left).
     """
     memo: dict[tuple[int, str, tuple[str, ...]], object] = {}
 
@@ -164,11 +302,24 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
         memo[key] = node
         return node
 
-    return build(formula, root, sigma0)
+    propagation = _Propagation(budget)
+    nodes = []
+    spine = [formula]
+    while spine:
+        f = spine.pop()
+        if isinstance(f, And):
+            spine += (f.right, f.left)
+            continue
+        node = build(f, root, sigma0)
+        if node is False or (node is not True and not propagation.need(node)):
+            return False
+        nodes.append(node)
+    return mk("and", nodes)
 
 
 def _sat_assignment(root_node, budget: Budget) -> dict | None:
-    """Backtracking search for a satisfying assignment of the ground atoms."""
+    """Backtracking search for a satisfying assignment of the ground atoms;
+    None at once for False, a frame that grounding refuted."""
     if root_node is True:
         return {}
     if root_node is False:
@@ -237,9 +388,11 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     them), then interpretations.  Edge sets with a world more than the
     formula's modal depth steps from the root are skipped, and so is every
     pass with more than one world when that depth is 0; neither changes the
-    first model found, only the budget spent to reach it.  A formula nested
+    first model found, only the budget spent to reach it; nor does dropping
+    a frame that propagation refutes while it is ground.  A formula nested
     too deeply for grounding or the propositional search raises
-    ResourceLimitError.
+    ResourceLimitError; the conjuncts of a top-level conjunction are ground
+    one at a time, so only the nesting inside each one counts.
     """
     require_semantics(semantics)
     require_at_least_one("max_worlds", max_worlds)
@@ -275,6 +428,9 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
 # The frame log of each shape (n_worlds, n_dom, semantics, n_free[, reach]):
 # a list of (charge, succs, delta) entries and the generator that extends it.
 _FRAME_LOGS: dict[tuple, tuple[list, object]] = {}
+# Per world count, one succs tuple for each edge set that some log holds:
+# shapes with the same world count walk the same edge sets.
+_SHARED_SUCCS: dict[int, dict[tuple, tuple]] = {}
 
 
 def _frames(shape: tuple, tracker: Budget):
@@ -333,7 +489,8 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int,
     the n_worlds**2-bit mask whose bit i * n_worlds + j stands for the edge
     (i, j).  delta gives each world's local domain as a set of element
     indices, the first n_free of which the root must hold.  Equal deltas are
-    one shared tuple.
+    one shared tuple, and equal succs one tuple across the shapes with the
+    same number of worlds.
     """
     full = frozenset(range(n_dom))
     nonempty = [frozenset(b for b in range(n_dom) if mask >> b & 1)
@@ -342,6 +499,7 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int,
     rows = [tuple(j for j in range(n_worlds) if mask >> j & 1)
             for mask in range(1 << n_worlds)]
     shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
+    shared_succs = _SHARED_SUCCS.setdefault(n_worlds, {})
     charge = 0
     for reversed_succs in product(rows, repeat=n_worlds):
         succs = reversed_succs[::-1]
@@ -358,7 +516,7 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int,
             charge += 1
             if not _is_canonical(succs, delta):
                 continue
-            yield charge, succs, shared.setdefault(delta, delta)
+            yield charge, shared_succs.setdefault(succs, succs), shared.setdefault(delta, delta)
             charge = 0
     yield charge, None, None
 
@@ -370,7 +528,7 @@ def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker):
     succ_names = {worlds[i]: tuple(sorted(worlds[j] for j in row))
                   for i, row in enumerate(succs)}
     # Grounding and the propositional search recurse once per nesting level
-    # of the formula or the ground DAG and once per decided atom.
+    # of a top-level conjunct or of the ground DAG, and once per decided atom.
     try:
         root_node = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
         assignment = _sat_assignment(root_node, tracker)

@@ -7,7 +7,7 @@ import pytest
 
 from bfoml import (ArgumentError, BfomlError, ResourceLimitError, check,
                    enumerate_sat, enumeration, fuzz, identity_assignment, parse)
-from bfoml.formulas import cleanse, free_vars, modal_depth, to_nnf, var_key
+from bfoml.formulas import And, Bundle, cleanse, free_vars, modal_depth, to_nnf, var_key
 from bfoml.limits import Budget
 
 BUDGET_OUT = "bounded model search ran out of budget; result is inconclusive"
@@ -201,10 +201,11 @@ def outcome(search, *args):
     return None if result is None else (result.root, result.model.dumps())
 
 
+# Each case runs out of budget at more than 100 budgets before it answers.
 REPLAY_CASES = [
-    ("(E x <> P(x) & A y <> !P(y))", 3, 2, "increasing"),
+    ("(E x <> P(x) & A y <> !P(y))", 3, 3, "increasing"),
     ("(P(x) & E y <> (!P(x) & Q(x,y)))", 2, 3, "increasing"),
-    ("(E x <> P(x) & A y <> !P(y))", 3, 2, "constant"),
+    ("(E x <> P(x) & A y <> !P(y))", 3, 3, "constant"),
     ("(E x [] P(x) & A y <> !P(y))", 2, 1, "constant"),
 ]
 
@@ -341,3 +342,108 @@ def test_a_modal_free_formula_searches_one_world_only(monkeypatch):
     with pytest.raises(ResourceLimitError, match=BUDGET_OUT):
         unpruned(monkeypatch, enumerate_sat, f, 4, 3, "increasing", 2_000)
     assert enumerate_sat(f, 4, 3, budget=2_000) is None
+
+
+# Propagation against an exhaustive search: whenever _ground refutes a
+# frame, no assignment of the atoms of the fully ground formula satisfies
+# it, and the propagation that refuted it spent budget.  Each formula
+# conjoins four draws of modal depth 1 that are bundles, so that whether
+# propagation refutes a frame depends on the frame's successors and domains.
+
+class RecordedPropagation(enumeration._Propagation):
+    """The module's propagation, recording what each need call spent and returned."""
+
+    calls = []
+
+    def need(self, root):
+        before = self.budget.spent
+        holds = super().need(root)
+        self.calls.append((self.budget.spent - before, holds))
+        return holds
+
+
+class NoPropagation(enumeration._Propagation):
+    def need(self, root):
+        return True
+
+
+def ground_atoms(node, atoms):
+    if node is not True and node is not False:
+        if node[0] == "lit":
+            atoms.add(node[2])
+        else:
+            for child in node[1]:
+                ground_atoms(child, atoms)
+    return atoms
+
+
+def value(node, assignment):
+    """The node's value under a partial assignment: True, False or None."""
+    if node is True or node is False:
+        return node
+    if node[0] == "lit":
+        atom_value = assignment.get(node[2])
+        return None if atom_value is None else atom_value is node[1]
+    values = [value(child, assignment) for child in node[1]]
+    absorbing = node[0] == "or"
+    if absorbing in values:
+        return absorbing
+    return None if None in values else not absorbing
+
+
+def satisfiable(node, atoms, assignment):
+    """Whether an assignment of the atoms that extends assignment makes node
+    true.  Tries both values of each atom in turn; a branch ends only once
+    the node's value is decided."""
+    decided = value(node, assignment)
+    if decided is not None:
+        return decided
+    atom = atoms[len(assignment)]
+    return any(satisfiable(node, atoms, {**assignment, atom: choice})
+               for choice in (False, True))
+
+
+def bundle_conjunction(gen):
+    parts = []
+    while len(parts) < 4:
+        f = gen.raw(1, 3)
+        if isinstance(f, Bundle):
+            parts.append(f)
+    return cleanse(to_nnf(And(And(parts[0], parts[1]), And(parts[2], parts[3]))))
+
+
+@pytest.mark.parametrize("seed, fragment", [(1, "full"), (2, "eb")])
+def test_a_refuted_frame_has_no_satisfying_assignment(monkeypatch, seed, fragment):
+    monkeypatch.setattr(enumeration, "_Propagation", RecordedPropagation)
+    gen = fuzz.FormulaGenerator(seed, fragment, variables=("x", "y"))
+    drawn = (bundle_conjunction(gen) for _ in range(40))
+    by_propagation = mixed = 0
+    for psi in [f for f in drawn if len(free_vars(f)) <= 2][:3]:
+        names = [str(v) for v in sorted(free_vars(psi), key=var_key)]
+        sigma0 = identity_assignment(free_vars(psi))
+        elements = (names + ["d0", "d1"])[:2]
+        outcomes = set()
+        for n_worlds, semantics in product((2, 3), enumeration.SEMANTICS):
+            worlds = [f"w{i}" for i in range(n_worlds)]
+            shape = (n_worlds, 2, semantics, len(names))
+            for succs, delta in enumeration._frames(shape, Budget(10 ** 9, BUDGET_OUT)):
+                frame = ({worlds[i]: tuple(sorted(elements[b] for b in d))
+                          for i, d in enumerate(delta)},
+                         {worlds[i]: tuple(worlds[j] for j in row)
+                          for i, row in enumerate(succs)})
+                RecordedPropagation.calls.clear()
+                tracker = Budget(10 ** 9, BUDGET_OUT)
+                refuted = enumeration._ground(psi, "w0", sigma0, *frame, tracker) is False
+                outcomes.add(refuted)
+                if not refuted:
+                    continue
+                calls = RecordedPropagation.calls
+                assert tracker.spent > 0 and all(spent > 0 for spent, _ in calls)
+                by_propagation += bool(calls) and not calls[-1][1]
+                with monkeypatch.context() as patch:
+                    patch.setattr(enumeration, "_Propagation", NoPropagation)
+                    full = enumeration._ground(psi, "w0", sigma0, *frame,
+                                               Budget(10 ** 9, BUDGET_OUT))
+                assert not satisfiable(full, sorted(ground_atoms(full, set())), {}), psi
+        mixed += len(outcomes) == 2
+    assert by_propagation > 100 and mixed >= 2

@@ -6,7 +6,7 @@ from bfoml import (KripkeModel, ResourceLimitError, check, decide_increasing,
                    enumerate_sat, parse)
 from bfoml.cli import main
 from bfoml.fo import FOSentence, R_PRED, parse_fo, translate_sentence
-from bfoml.formulas import (And, Atom, Bundle, Fragment, Mod, Not, Predicate, Quant, Var,
+from bfoml.formulas import (And, Atom, Bundle, Fragment, Mod, Not, Or, Predicate, Quant, Var,
                             all_vars, ast_size, bound_vars, boolean_connective_count,
                             classify, cleanse, exists_box_vars, free_vars, is_clean,
                             is_nnf, modal_depth, subformulas, substitute, to_nnf)
@@ -156,21 +156,43 @@ def test_cli_wide_or_chain_is_a_one_line_error(capsys):
                           "tableau search nested too deeply")
 
 
-# Grounding and the oracle's propositional search recurse once per nesting
-# level and once per decided atom, so a long conjunction chain is too deep
-# for them, while the tableau splits it into a label.
+# The oracle grounds the conjuncts of a top-level conjunction one at a time,
+# so a long conjunction chain is answered, as the tableau answers it by
+# splitting it into a label.  Inside a conjunct, grounding and the
+# propositional search still recurse once per nesting level, so a long
+# disjunction chain is too deep for them.
 ORACLE_TOO_DEEP = "bounded model search nested too deeply; result is inconclusive"
 
 
-def test_oracle_on_a_long_conjunction_built_in_code_is_a_resource_limit():
-    f = Atom(Predicate("P0", 0), ())
-    for i in range(1, 500):
-        f = And(Atom(Predicate(f"P{i}", 0), ()), f)
-    with pytest.raises(ResourceLimitError, match=ORACLE_TOO_DEEP):
-        enumerate_sat(f, 1, 1)
+def nullary_chain(connective, n):
+    """P0 c (P1 c (... P{n-1})) over nullary atoms, right-nested, built in code."""
+    f = Atom(Predicate(f"P{n - 1}", 0), ())
+    for i in range(n - 2, -1, -1):
+        f = connective(Atom(Predicate(f"P{i}", 0), ()), f)
+    return f
+
+
+def chain_text(op, n):
+    """(P0(x) op (P1(x) op (... P{n-1}(x)))) as text."""
+    return "".join(f"(P{i}(x) {op} " for i in range(n - 1)) + f"P{n - 1}(x)" + ")" * (n - 1)
+
+
+def test_oracle_answers_a_long_conjunction_built_in_code():
+    f = nullary_chain(And, 500)
+    result = enumerate_sat(f, 1, 1)
+    assert result is not None and check(result.model, result.root, {}, f)
     assert decide_increasing(f).is_sat
 
 
-def test_cli_oracle_on_a_long_conjunction_is_a_one_line_error(capsys):
-    text = "(P0(x) & " + "".join(f"(P{i}(x) & " for i in range(1, 699)) + "P699(x)" + ")" * 699
-    assert_one_line_error(capsys, ["oracle", text], ORACLE_TOO_DEEP)
+def test_cli_oracle_answers_a_long_conjunction(capsys):
+    assert main(["oracle", chain_text("&", 700)]) == 10
+    assert capsys.readouterr().out.startswith("SAT")
+
+
+def test_oracle_on_a_long_disjunction_built_in_code_is_a_resource_limit():
+    with pytest.raises(ResourceLimitError, match=ORACLE_TOO_DEEP):
+        enumerate_sat(nullary_chain(Or, 700), 1, 1)
+
+
+def test_cli_oracle_on_a_long_disjunction_is_a_one_line_error(capsys):
+    assert_one_line_error(capsys, ["oracle", chain_text("|", 700)], ORACLE_TOO_DEEP)
