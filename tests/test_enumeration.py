@@ -1,5 +1,5 @@
 """Bounded model search: frozen examples, self-consistency, determinism, frame log replay,
-the modal-depth prune."""
+the modal-depth prune, propagation while grounding."""
 
 from itertools import permutations, product
 
@@ -201,7 +201,8 @@ def outcome(search, *args):
     return None if result is None else (result.root, result.model.dumps())
 
 
-# Each case runs out of budget at more than 100 budgets before it answers.
+# Each case is still out of budget after about 100 units (the last assertion),
+# so replay and enumeration are compared at that many budgets.
 REPLAY_CASES = [
     ("(E x <> P(x) & A y <> !P(y))", 3, 3, "increasing"),
     ("(P(x) & E y <> (!P(x) & Q(x,y)))", 2, 3, "increasing"),
