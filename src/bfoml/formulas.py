@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterator
 
-from .errors import ArgumentError, CaptureError
+from .errors import ArgumentError, CaptureError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -326,24 +326,23 @@ def substitute(f: Formula, replacement: Var, target: Var) -> Formula:
     so a capture signals a cleanliness violation upstream.
     """
     _require_formula(f)
-    if replacement == target:
-        return f
-
-    def rec(g: Formula) -> Formula:
-        if target not in free_vars(g):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
-        # target is free in a bundle g, so g does not bind it and it is free in the body.
-        if isinstance(g, Bundle) and g.var == replacement:
-            raise CaptureError(
-                f"substituting {replacement} for {target} would capture it under "
-                f"the binder in {format_formula(g)}")
-        return _rebuild(g, tuple(map(rec, _children(g))))
-
-    return rec(f)
+    return f if replacement == target else _substitute(f, replacement, target)
 
 
+def _substitute(g: Formula, replacement: Var, target: Var) -> Formula:
+    if target not in free_vars(g):
+        return g
+    if isinstance(g, Atom):
+        return Atom(g.pred, tuple(replacement if a == target else a for a in g.args))
+    # target is free in a bundle g, so g does not bind it and it is free in the body.
+    if isinstance(g, Bundle) and g.var == replacement:
+        raise CaptureError(
+            f"substituting {replacement} for {target} would capture it under "
+            f"the binder in {format_formula(g)}")
+    return _rebuild(g, tuple(map(_substitute, _children(g), repeat(replacement), repeat(target))))
+
+
+_TOO_DEEP = "formula nested too deeply to normalize"
 _DUAL_QUANT = {Quant.EXISTS: Quant.FORALL, Quant.FORALL: Quant.EXISTS}
 _DUAL_MOD = {Mod.BOX: Mod.DIAMOND, Mod.DIAMOND: Mod.BOX}
 _DUAL_BINARY = {And: Or, Or: And}
@@ -356,9 +355,12 @@ def to_nnf(f: Formula) -> Formula:
     bundle dualities (negating a bundle flips both the quantifier and the
     modality).  Every subtree already in NNF is returned as it is, shared
     with f.  Idempotent; semantic equivalence is checked against the model
-    checker in the test suite.
+    checker in the test suite.  Too deep a nesting raises ResourceLimitError.
     """
-    return _nnf(f, False)
+    try:
+        return _nnf(f, False)
+    except RecursionError:
+        raise ResourceLimitError(_TOO_DEEP) from None
 
 
 def _nnf(f: Formula, negated: bool) -> Formula:
@@ -426,7 +428,8 @@ def cleanse(f: Formula) -> Formula:
     same object.
 
     A predicate name met at two arities raises ArgumentError, as the parser
-    refuses it; every solver cleanses its input first.
+    refuses it; every solver cleanses its input first.  Too deep a nesting
+    raises ResourceLimitError.
     """
     _require_formula(f)
     free = free_vars(f)
@@ -465,7 +468,12 @@ def cleanse(f: Formula) -> Formula:
             return g if nv is v and body is g.body else Bundle(g.quant, g.mod, nv, body)
         return _rebuild(g, tuple(map(rec, _children(g), repeat(env))))
 
-    return rec(f, {})
+    try:
+        return rec(f, {})
+    except RecursionError:
+        raise ResourceLimitError(_TOO_DEEP) from None
+    finally:
+        del rec  # rec refers to itself through its closure: leave no cycle behind
 
 
 def modal_depth(f: Formula) -> int:

@@ -11,6 +11,9 @@ open completion is a DAG: a node may have several parents.  The read-off
 walks each node once and merges worlds that have the same local domain,
 facts and successors, so the model is a DAG whose equal worlds are merged.
 A label met again spends one budget unit, as any other label does.
+A search's ``memo``, dropped with it when the decision returns, computes
+each branching step once per (label's bundles in label order, tracked set),
+on which alone the step depends, and each bundle body instance once.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class Label:
 
     A label's outcome depends on nothing else, so it is the search's memo key.
     Building it checks that each formula is an or, a bundle, F or a literal,
-    and derives its termination measure once, as ``measure``.
+    and derives its termination measure and its hash once, next to the fields.
     """
 
     gamma: tuple[Formula, ...]
@@ -82,6 +85,10 @@ class Label:
                 raise InternalSolverError(
                     f"label holds a formula outside the NNF grammar: {f}")
         object.__setattr__(self, "measure", label_measure(self.gamma))
+        object.__setattr__(self, "_hash", hash((self.gamma, self.vars)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,15 @@ def find_clash(gamma: tuple[Formula, ...]) -> str | None:
     return None
 
 
-def apply_rule(label: Label, make, branch) -> RuleApplication | None:
+def apply_rule(label: Label, make, branch, memo: dict | None = None) -> RuleApplication | None:
     """Apply the first rule that fits the label; None on an open leaf.
 
     Branch on the leftmost or, else, when a diamond bundle is left, apply the
-    procedure's ``branch(label, bundles)``.  A label with neither is an open
-    leaf: its box bundles hold vacuously at a world with no successor.
-    ``make(formulas, tracked)`` builds a child label; ``bundles`` maps each
-    (quantifier, modality) pair to the label's bundles of that kind, in
-    label order.
+    procedure's ``branch(label, bundles, memo)`` once per memo (a fresh one
+    without a search).  A label with neither is an open leaf: its box bundles
+    hold vacuously at a world with no successor.  ``make(formulas, tracked)``
+    builds a child label; ``bundles`` maps each (quantifier, modality) pair
+    to the label's bundles of that kind, in label order.
     """
     gamma = label.gamma
     for i, f in enumerate(gamma):
@@ -136,13 +143,27 @@ def apply_rule(label: Label, make, branch) -> RuleApplication | None:
             rest = gamma[:i] + gamma[i + 1:]
             return RuleApplication("or", (make(rest + (f.left,), label.vars),
                                           make(rest + (f.right,), label.vars)))
-    bundles: defaultdict[tuple[Quant, Mod], list[Bundle]] = defaultdict(list)
-    for f in gamma:
-        if isinstance(f, Bundle):
-            bundles[f.quant, f.mod].append(f)
-    if bundles[Quant.EXISTS, Mod.DIAMOND] or bundles[Quant.FORALL, Mod.DIAMOND]:
-        return branch(label, bundles)
-    return None
+    found = tuple(f for f in gamma if isinstance(f, Bundle))
+    if not any(b.mod is Mod.DIAMOND for b in found):
+        return None
+    memo = {} if memo is None else memo
+    app = memo.get((found, label.vars))
+    if app is None:
+        bundles: defaultdict[tuple[Quant, Mod], list[Bundle]] = defaultdict(list)
+        for b in found:
+            bundles[b.quant, b.mod].append(b)
+        app = memo[found, label.vars] = branch(label, bundles, memo)
+    return app
+
+
+def instantiate(memo: dict, substitute, bundle: Bundle, y: Var) -> Formula:
+    """The bundle's body with y for its variable, once per memo; ``substitute``
+    is the caller's module-level name for it, which bench/tracing.py rebinds."""
+    key = (bundle.body, y, bundle.var)
+    body = memo.get(key)
+    if body is None:
+        body = memo[key] = substitute(*key)
+    return body
 
 
 def label_measure(gamma: tuple[Formula, ...]) -> tuple[int, int]:
@@ -208,6 +229,7 @@ class Search:
         self.trace: list[str] | None = [] if tracing else None
         # label -> (world that solved it, its outcome)
         self.solved: dict[Label, tuple[str, TableauNode | None]] = {}
+        self.memo: dict = {}
 
     def expand(self, label: Label) -> RuleApplication | None:
         raise NotImplementedError

@@ -26,7 +26,7 @@ from .formulas import (FRAGMENT_BUNDLES, Bundle, Formula, Fragment, Mod, Quant, 
 from .kripke import KripkeModel, check, identity_assignment
 from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
                              TableauNode, apply_rule, assert_free_vars_tracked,
-                             assert_vars_only_free, canonical_gamma, read_model)
+                             assert_vars_only_free, canonical_gamma, instantiate, read_model)
 # Not called here; bench/tracing.py rebinds these names in this module.
 from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
@@ -79,7 +79,7 @@ def make_label(formulas, used: frozenset[Var], plan: ConstantDomainPlan) -> Labe
     return Label(gamma, used)
 
 
-def branch(label: Label, bundles, plan: ConstantDomainPlan) -> RuleApplication:
+def branch(label: Label, bundles, memo: dict, plan: ConstantDomainPlan) -> RuleApplication:
     """The constant-domain branching rule described in the module docstring."""
     witnesses: dict[Var, Var] = {}
     exists_box = bundles[Quant.EXISTS, Mod.BOX]
@@ -89,17 +89,18 @@ def branch(label: Label, bundles, plan: ConstantDomainPlan) -> RuleApplication:
             raise InternalSolverError(
                 f"witness pool for {b.var} exhausted; depth bound violated")
         witnesses[b.var] = available[0]
-    box_bodies = [substitute(b.body, witnesses[b.var], b.var) for b in exists_box]
+    box_bodies = [instantiate(memo, substitute, b, witnesses[b.var]) for b in exists_box]
     new_used = label.vars | set(witnesses.values())
     return RuleApplication("br", tuple(
-        make_label(box_bodies + [substitute(b.body, y, b.var)], new_used | {y}, plan)
+        make_label(box_bodies + [instantiate(memo, substitute, b, y)], new_used | {y}, plan)
         for y in sorted(plan.domain, key=var_key)
         for b in bundles[Quant.FORALL, Mod.DIAMOND]), new_used)
 
 
-def expand_constant(label: Label, plan: ConstantDomainPlan) -> RuleApplication | None:
+def expand_constant(label: Label, plan: ConstantDomainPlan,
+                    memo: dict | None = None) -> RuleApplication | None:
     """One rule application under the fixed-domain regime; None on a leaf."""
-    return apply_rule(label, partial(make_label, plan=plan), partial(branch, plan=plan))
+    return apply_rule(label, partial(make_label, plan=plan), partial(branch, plan=plan), memo)
 
 
 class _Search(Search):
@@ -110,7 +111,7 @@ class _Search(Search):
         self.plan = plan
 
     def expand(self, label: Label) -> RuleApplication | None:
-        return expand_constant(label, self.plan)
+        return expand_constant(label, self.plan, self.memo)
 
     def local_domain(self, tracked: frozenset[Var]) -> frozenset[Var]:
         return self.plan.domain

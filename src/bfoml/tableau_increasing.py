@@ -21,7 +21,7 @@ from .formulas import (Formula, Mod, Quant, Var, all_vars, cleanse, formula_key,
 from .kripke import check, identity_assignment
 from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
                              apply_rule, assert_free_vars_tracked,
-                             assert_vars_only_free, canonical_gamma, read_model)
+                             assert_vars_only_free, canonical_gamma, instantiate, read_model)
 # Not called here; bench/tracing.py rebinds these names in this module.
 from .tableau_common import assert_measure_decreases, find_clash  # noqa: F401
 
@@ -36,33 +36,33 @@ def make_label(formulas, free: frozenset[Var]) -> Label:
     return Label(gamma, free)
 
 
-def branch(label: Label, bundles) -> RuleApplication:
+def branch(label: Label, bundles, memo: dict) -> RuleApplication:
     """The increasing-domain branching rule described in the module docstring."""
     exists_diamond = bundles[Quant.EXISTS, Mod.DIAMOND]
     exists_box = bundles[Quant.EXISTS, Mod.BOX]
     new_free = label.vars | {b.var for b in exists_diamond + exists_box}
     box_bodies = [b.body for b in exists_box]
-    box_bodies += [substitute(b.body, y, b.var)
+    box_bodies += [instantiate(memo, substitute, b, y)
                    for b in bundles[Quant.FORALL, Mod.BOX]
                    for y in sorted(new_free, key=var_key)]
     children = [[b.body] + box_bodies for b in exists_diamond]
-    children += [[substitute(b.body, y, b.var)] + box_bodies
+    children += [[instantiate(memo, substitute, b, y)] + box_bodies
                  for b in bundles[Quant.FORALL, Mod.DIAMOND]
                  for y in sorted(new_free, key=var_key)]
     return RuleApplication("br", tuple(make_label(formulas, new_free) for formulas in children),
                            new_free)
 
 
-def expand(label: Label) -> RuleApplication | None:
+def expand(label: Label, memo: dict | None = None) -> RuleApplication | None:
     """Apply one tableau rule to the label; None when it is a finished leaf."""
-    return apply_rule(label, make_label, branch)
+    return apply_rule(label, make_label, branch, memo)
 
 
 class _Search(Search):
     letter = "F"
 
     def expand(self, label: Label) -> RuleApplication | None:
-        return expand(label)
+        return expand(label, self.memo)
 
 
 def decide_increasing(formula: Formula, budget: int | None = None,

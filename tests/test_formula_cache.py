@@ -1,6 +1,7 @@
 """Derived attributes kept on formula nodes, and the checks that rely on them."""
 
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
@@ -9,8 +10,8 @@ import sys
 import pytest
 
 from bfoml import (InternalSolverError, InvalidModelError, KripkeModel, Var,
-                   cleanse, decide_constant_eb, parse, substitute, to_nnf)
-from bfoml import formulas, tableau_common
+                   cleanse, decide_constant_eb, decide_increasing, parse, substitute, to_nnf)
+from bfoml import formulas, tableau_common, tableau_constant, tableau_increasing
 from bfoml.formulas import (And, Atom, Bot, Bundle, Implies, Not, Or, Top,
                             bound_vars, boolean_connective_count, formula_key,
                             free_vars, modal_depth, subformulas)
@@ -216,18 +217,81 @@ def test_label_refuses_a_conjunction():
         Label((parse("(P(x) & Q(x))"),), frozenset({Var("x")}))
 
 
+# bench/workloads.chain_ad(random.Random(1), 3): thousands of labels.
+CHAIN_AD_3 = ("A xmj <> (A vca <> (E lpc [] Pgm(vca,lpc) & A xlt <> (Qou(xmj) & "
+              "E maa [] Pgm(xlt,maa))) & E ksg [] Pgm(xmj,ksg))")
+
+
 def test_each_label_is_measured_once(monkeypatch):
-    # bench/workloads.chain_ad(random.Random(1), 3): thousands of labels.
-    text = ("A xmj <> (A vca <> (E lpc [] Pgm(vca,lpc) & A xlt <> (Qou(xmj) & "
-            "E maa [] Pgm(xlt,maa))) & E ksg [] Pgm(xmj,ksg))")
     built, measured = [], []
     init, measure = Label.__init__, tableau_common.label_measure
     monkeypatch.setattr(Label, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     monkeypatch.setattr(tableau_common, "label_measure",
                         lambda gamma: measured.append(1) or measure(gamma))
-    assert decide_constant_eb(parse(text)).is_sat
+    assert decide_constant_eb(parse(CHAIN_AD_3)).is_sat
     assert len(built) > 1000
     assert len(measured) == len(built)
+
+
+def test_label_hashes_its_fields_once():
+    gamma, tracked = (parse("(P(x) | Q(x))"), parse("E y [] P(y)")), frozenset({Var("x")})
+    label = Label(gamma, tracked)
+    assert hash(label) == hash((gamma, tracked)) == hash(Label(gamma, tracked))
+    assert label == Label(gamma, tracked)
+
+
+def record_memo_calls(monkeypatch, module):
+    """Log the key of each substitute and branch call that module's search makes."""
+    subs, branches = [], []
+    real_substitute, real_branch = module.substitute, module.branch
+
+    def substitute(body, y, x):
+        subs.append((body, y, x))
+        return real_substitute(body, y, x)
+
+    def branch(label, bundles, memo, **plan):
+        branches.append((tuple(f for f in label.gamma if isinstance(f, Bundle)), label.vars))
+        return real_branch(label, bundles, memo, **plan)
+
+    monkeypatch.setattr(module, "substitute", substitute)
+    monkeypatch.setattr(module, "branch", branch)
+    return subs, branches
+
+
+def test_search_substitutes_and_branches_once_per_key(monkeypatch):
+    subs, branches = record_memo_calls(monkeypatch, tableau_constant)
+    result = decide_constant_eb(parse(CHAIN_AD_3))
+    assert result.is_sat and result.nodes_expanded == 2380
+    assert len(subs) == len(set(subs)) > 100
+    assert len(branches) == len(set(branches)) > 100
+
+
+@pytest.mark.parametrize("module, decide", [(tableau_constant, decide_constant_eb),
+                                            (tableau_increasing, decide_increasing)])
+def test_no_memo_outlives_its_decision(monkeypatch, module, decide):
+    subs, branches = record_memo_calls(monkeypatch, module)
+    f = parse(CHAIN_AD_3)
+    first = decide(f, tracing=True)
+    calls = (len(subs), len(branches))
+    assert min(calls) > 0
+    second = decide(f, tracing=True)
+    assert (len(subs), len(branches)) == (2 * calls[0], 2 * calls[1])
+    assert second.trace == first.trace and second.model.dumps() == first.model.dumps()
+
+
+@pytest.mark.parametrize("rewrite", [cleanse, lambda f: substitute(f, Var("w"), Var("y"))],
+                         ids=["cleanse", "substitute"])
+def test_rewrites_leave_no_reference_cycle(rewrite):
+    # A binder clash, so cleanse renames, and a free y under binders, so
+    # substitute rebuilds nodes.
+    f = parse("(E x [] Q(x,y) & A x <> (P(x) | E z [] Q(z,y)))")
+    gc.collect()
+    gc.disable()
+    try:
+        assert rewrite(f) is not f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluator_rejects_a_shrinking_edge():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from bfoml import (KripkeModel, ResourceLimitError, check, decide_increasing,
-                   enumerate_sat, parse)
+from bfoml import (KripkeModel, ResourceLimitError, check, decide_constant_eb,
+                   decide_increasing, enumerate_sat, parse)
+from bfoml import cli
 from bfoml.cli import main
 from bfoml.fo import FOSentence, R_PRED, parse_fo, translate_sentence
 from bfoml.formulas import (And, Atom, Bundle, Fragment, Mod, Not, Or, Predicate, Quant, Var,
@@ -192,6 +193,28 @@ def test_cli_oracle_answers_a_long_conjunction(capsys):
 def test_oracle_on_a_long_disjunction_built_in_code_is_a_resource_limit():
     with pytest.raises(ResourceLimitError, match=ORACLE_TOO_DEEP):
         enumerate_sat(nullary_chain(Or, 700), 1, 1)
+
+
+# Normalization recurses once per binary nesting level, so a chain built in
+# code past the recursion limit is a resource limit at every solver entry.
+NORMALIZE_TOO_DEEP = "formula nested too deeply to normalize"
+ENTRIES = {"increasing": decide_increasing, "constant": decide_constant_eb,
+           "oracle": lambda f: enumerate_sat(f, 1, 1)}
+
+
+@pytest.mark.parametrize("connective", [And, Or])
+@pytest.mark.parametrize("decide", ENTRIES.values(), ids=ENTRIES.keys())
+def test_chain_too_deep_to_normalize_is_a_resource_limit(decide, connective):
+    with pytest.raises(ResourceLimitError, match=NORMALIZE_TOO_DEEP):
+        decide(nullary_chain(connective, 3000))
+
+
+@pytest.mark.parametrize("argv", [["sat", "P"], ["sat", "--semantics", "constant", "P"],
+                                  ["oracle", "P"], ["nnf", "P"], ["clean", "P"]])
+def test_cli_chain_too_deep_to_normalize_is_a_one_line_error(argv, monkeypatch, capsys):
+    # The parser stops near the recursion limit, so the chain is built in code.
+    monkeypatch.setattr(cli, "parse", lambda text: nullary_chain(And, 3000))
+    assert_one_line_error(capsys, argv, NORMALIZE_TOO_DEEP)
 
 
 def test_cli_oracle_on_a_long_disjunction_is_a_one_line_error(capsys):
