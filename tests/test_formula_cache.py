@@ -233,11 +233,15 @@ def test_each_label_is_measured_once(monkeypatch):
     assert len(measured) == len(built)
 
 
-def test_label_hashes_its_fields_once():
+def test_label_hashes_its_formulas_once(monkeypatch):
     gamma, tracked = (parse("(P(x) | Q(x))"), parse("E y [] P(y)")), frozenset({Var("x")})
-    label = Label(gamma, tracked)
-    assert hash(label) == hash((gamma, tracked)) == hash(Label(gamma, tracked))
-    assert label == Label(gamma, tracked)
+    label, expected = Label(gamma, tracked), hash((gamma, tracked))
+    hashed = []
+    for cls in (formulas.Or, formulas.Bundle):
+        monkeypatch.setattr(cls, "__hash__", lambda f: hashed.append(f) or hash(f._key))
+    solved = {label: None}
+    assert hash(label) == expected and label in solved
+    assert hashed == []
 
 
 def record_memo_calls(monkeypatch, module):
