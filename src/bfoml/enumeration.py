@@ -37,6 +37,26 @@ three-valued value and the same first unknown atom as the nested and-nodes
 of the spine, so the search makes the same decisions and finds the same
 first assignment.  Only the budget spent changes.
 
+A refutation is replayed where the part of the frame it read recurs.  The
+view of a frame at depth m is the local domain and successor row of each
+world fewer than m steps from the root (``_view``).  Each call keeps a table
+from the views of the frames it refuted, at m the largest modal depth among
+the conjuncts ground before the refutation, to the budget that refuting each
+one spent; a frame whose view is in the table is not ground, and the table
+dies with the call, since its keys do not name the formula.  This changes
+nothing but the time taken.  Grounding a formula of modal depth m at the
+root reads ``delta`` and ``succs`` only at worlds fewer than m steps away:
+a bundle at a world reads that world's domain and row and grounds its body,
+one depth less, at the successors, and an atom carries only names.  Within
+one call world i is always ``w{i}``, and element b always ``elements[b]``,
+since every pass takes a prefix of the same list of names.  So two frames
+with the same view ground the refuting prefix of conjuncts to the same DAG,
+built in the same order, on which propagation refutes again after the same
+unit spends.  Spending their total in bulk raises ResourceLimitError exactly
+when the unit spends would, as in ``_frames``'s replay.  So models, ``None``,
+budget-outs and the budget spent by every call that returns are the same at
+every budget as when each frame is ground.
+
 The frames depend on the formula only through the reach, so they are fixed
 by the shape (number of worlds, domain size, semantics, number of free
 variables, reach).  Each shape's canonical frames are enumerated once per
@@ -73,23 +93,35 @@ class EnumerationResult:
     root: str
 
 
+def _near(succs: tuple[tuple[int, ...], ...], steps: int) -> list[int]:
+    """The worlds at most steps steps from world 0, in breadth-first order
+    (none when steps < 0).  Stops at the first level that adds no world."""
+    near = [0] if steps >= 0 else []
+    start = 0
+    while steps > 0 and start < len(near):
+        steps -= 1
+        end = len(near)
+        for a in near[start:end]:
+            for b in succs[a]:
+                if b not in near:
+                    near.append(b)
+        start = end
+    return near
+
+
 def _reachable_from_root(succs: tuple[tuple[int, ...], ...],
                          reach: int | None = None) -> bool:
     """Whether every world is at most reach steps from world 0 (any number
     of steps when reach is None)."""
-    seen = {0}
-    level = [0]
-    steps = len(succs) if reach is None else reach
-    while level and steps > 0:
-        steps -= 1
-        next_level = []
-        for a in level:
-            for b in succs[a]:
-                if b not in seen:
-                    seen.add(b)
-                    next_level.append(b)
-        level = next_level
-    return len(seen) == len(succs)
+    return len(_near(succs, len(succs) if reach is None else reach)) == len(succs)
+
+
+def _view(succs: tuple[tuple[int, ...], ...], delta: tuple[frozenset[int], ...],
+          depth: int) -> tuple:
+    """The local domain and successor row of each world fewer than depth
+    steps from world 0, in breadth-first order: all of the frame that
+    grounding a formula of that modal depth at the root reads."""
+    return tuple([(delta[a], succs[a]) for a in _near(succs, depth - 1)])
 
 
 def _is_canonical(succs: tuple[tuple[int, ...], ...],
@@ -242,9 +274,11 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
     elements), ("and", children) or ("or", children).  Sharing comes from a
     memo on (subformula, world, relevant bindings).  The conjuncts of the
     formula's top-level & spine are ground one at a time, left to right,
-    and _Propagation runs after each.  Returns False as soon as a conjunct
-    grounds to False or propagation refutes the frame, else the and-node of
-    the conjuncts' nodes (True when there are none left).
+    and _Propagation runs after each.  Returns (node, depth).  node is False
+    as soon as a conjunct grounds to False or propagation refutes the frame,
+    else the and-node of the conjuncts' nodes (True when there are none
+    left).  depth is the largest modal depth among the conjuncts ground, so
+    a refutation read the frame only fewer than depth steps from the root.
     """
     memo: dict[tuple[int, str, tuple[str, ...]], object] = {}
 
@@ -305,16 +339,18 @@ def _ground(formula: Formula, root: str, sigma0: dict[Var, str],
     propagation = _Propagation(budget)
     nodes = []
     spine = [formula]
+    depth = 0
     while spine:
         f = spine.pop()
         if isinstance(f, And):
             spine += (f.right, f.left)
             continue
+        depth = max(depth, modal_depth(f))
         node = build(f, root, sigma0)
         if node is False or (node is not True and not propagation.need(node)):
-            return False
+            return False, depth
         nodes.append(node)
-    return mk("and", nodes)
+    return mk("and", nodes), depth
 
 
 def _sat_assignment(root_node, budget: Budget) -> dict | None:
@@ -389,7 +425,10 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     formula's modal depth steps from the root are skipped, and so is every
     pass with more than one world when that depth is 0; neither changes the
     first model found, only the budget spent to reach it; nor does dropping
-    a frame that propagation refutes while it is ground.  A formula nested
+    a frame that propagation refutes while it is ground.  A frame is not
+    ground when it agrees with a frame already refuted in this call on all
+    that the refutation read; it spends what that refutation spent.  Domain
+    elements are named only as far as the passes reach.  A formula nested
     too deeply for grounding or the propositional search raises
     ResourceLimitError; the conjuncts of a top-level conjunction are ground
     one at a time, so only the nesting inside each one counts.
@@ -405,8 +444,11 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     if len(fv_names) > max_domain:
         return None
 
-    fillers = [f"d{k}" for k in range(max_domain + len(fv_names))
-               if f"d{k}" not in fv_names][:max_domain]
+    # Named as each pass needs them: max_domain may be far above the
+    # domain size at which the search answers.
+    fillers = (f"d{k}" for k in count() if f"d{k}" not in fv_names)
+    pool = list(fv_names)
+    refuted: dict[int, dict[tuple, int]] = {}
 
     depth = modal_depth(psi)
     for n_worlds in range(1, max_worlds + 1):
@@ -415,11 +457,13 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
             break
         worlds = [f"w{i}" for i in range(n_worlds)]
         for n_dom in range(max(1, len(fv_names)), max_domain + 1):
-            elements = (fv_names + fillers)[:n_dom]
+            while len(pool) < n_dom:
+                pool.append(next(fillers))
+            elements = pool[:n_dom]
             shape = (n_worlds, n_dom, semantics, len(fv_names), reach)
             for succs, delta in _frames(shape, tracker):
                 result = _try_frame(psi, worlds, elements, succs, delta,
-                                    sigma0, tracker)
+                                    sigma0, tracker, refuted)
                 if result is not None:
                     return result
     return None
@@ -521,21 +565,37 @@ def _frame_search(n_worlds: int, n_dom: int, semantics: str, n_free: int,
     yield charge, None, None
 
 
-def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker):
+def _try_frame(psi, worlds, elements, succs, delta, sigma0, tracker, refuted):
+    """The model of psi on this frame that the search finds first, or None.
+
+    refuted is the call's table of refuted views: for each depth m, the
+    view at m of every frame that grounding refuted with conjuncts of modal
+    depth at most m, mapped to the budget that refuting it spent.  A frame
+    whose view at one of the table's depths is in the table is refuted again
+    for exactly that budget, without being named or ground.
+    """
+    for depth, views in refuted.items():
+        charge = views.get(_view(succs, delta, depth))
+        if charge is not None:
+            tracker.spend(charge)
+            return None
     n = len(worlds)
     delta_names = {worlds[i]: tuple(sorted(elements[b] for b in delta[i]))
                    for i in range(n)}
     succ_names = {worlds[i]: tuple(sorted(worlds[j] for j in row))
                   for i, row in enumerate(succs)}
+    spent = tracker.spent
     # Grounding and the propositional search recurse once per nesting level
     # of a top-level conjunct or of the ground DAG, and once per decided atom.
     try:
-        root_node = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
+        root_node, depth = _ground(psi, worlds[0], sigma0, delta_names, succ_names, tracker)
         assignment = _sat_assignment(root_node, tracker)
     except RecursionError:
         raise ResourceLimitError(
             "bounded model search nested too deeply; result is inconclusive") from None
     if assignment is None:
+        if root_node is False:
+            refuted.setdefault(depth, {})[_view(succs, delta, depth)] = tracker.spent - spent
         return None
     rho: dict[str, dict[str, set[tuple[str, ...]]]] = {}
     for (world, pred, args), value in assignment.items():

@@ -136,6 +136,11 @@ def test_oracle(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "NONE"
 
 
+def test_oracle_answers_at_once_under_a_huge_domain_bound(capsys):
+    assert main(["oracle", "P(x)", "--max-domain", "1000000000"]) == 10
+    assert capsys.readouterr().out.strip() == "SAT"
+
+
 def test_oracle_budget_error(capsys):
     assert main(["oracle", "(E x [] P(x) & A y <> !P(y))",
                  "--budget", "40"]) == 1

@@ -70,6 +70,12 @@ def test_too_many_free_variables_for_domain_bound():
     assert enumerate_sat(parse("(P(x) & (P(y) & P(u)))"), 2, 2) is None
 
 
+def test_a_huge_domain_bound_names_only_the_elements_searched():
+    # The first one-element frame answers, so no larger domain is named.
+    result = enumerate_sat(parse("P(x)"), 1, 10 ** 9)
+    assert result is not None and result.model.domain == ("x",)
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(ResourceLimitError):
         enumerate_sat(parse("(E x [] P(x) & A y <> !P(y))"), 4, 3, budget=50)
@@ -186,8 +192,9 @@ def reference_enumerate_sat(formula, max_worlds, max_domain, semantics, budget):
             elements = (fv_names + fillers)[:n_dom]
             for succs, delta in reference_frames(n_worlds, n_dom, semantics,
                                                  len(fv_names), reach, tracker=tracker):
+                # A fresh table per frame: no frame is replayed.
                 result = enumeration._try_frame(psi, worlds, elements, succs, delta,
-                                                sigma0, tracker)
+                                                sigma0, tracker, {})
                 if result is not None:
                     return result
     return None
@@ -434,7 +441,7 @@ def test_a_refuted_frame_has_no_satisfying_assignment(monkeypatch, seed, fragmen
                           for i, row in enumerate(succs)})
                 RecordedPropagation.calls.clear()
                 tracker = Budget(10 ** 9, BUDGET_OUT)
-                refuted = enumeration._ground(psi, "w0", sigma0, *frame, tracker) is False
+                refuted = enumeration._ground(psi, "w0", sigma0, *frame, tracker)[0] is False
                 outcomes.add(refuted)
                 if not refuted:
                     continue
@@ -443,8 +450,140 @@ def test_a_refuted_frame_has_no_satisfying_assignment(monkeypatch, seed, fragmen
                 by_propagation += bool(calls) and not calls[-1][1]
                 with monkeypatch.context() as patch:
                     patch.setattr(enumeration, "_Propagation", NoPropagation)
-                    full = enumeration._ground(psi, "w0", sigma0, *frame,
-                                               Budget(10 ** 9, BUDGET_OUT))
+                    full, _ = enumeration._ground(psi, "w0", sigma0, *frame,
+                                                  Budget(10 ** 9, BUDGET_OUT))
                 assert not satisfiable(full, sorted(ground_atoms(full, set())), {}), psi
         mixed += len(outcomes) == 2
     assert by_propagation > 100 and mixed >= 2
+
+
+# The replay of refuted views against the replay-free reference: every call
+# gives the same outcome, and every call that returns the same
+# Budget.spent.  A call that runs out of budget may stop with more spent,
+# since a replay spends a refutation's charge in one step; that tracker is
+# never read.  Besides generator draws, the formulas include the oracle
+# workload's clash shapes, whose frames a depth-0 or depth-1 prefix refutes.
+
+LIT_CLASH = parse("(P(v) & !P(v))")
+MODAL_CLASH = parse("(E w <> P(w) & A w [] !P(w))")
+
+
+def replay_formulas():
+    formulas = []
+    for seed, fragment in ((11, "full"), (2, "eb"), (3, "ed")):
+        gen = fuzz.FormulaGenerator(seed, fragment=fragment)
+        formulas += [gen.formula() for _ in range(8)]
+    gen = fuzz.FormulaGenerator(5, "full", variables=("x", "y", "v"))
+    for clash in (LIT_CLASH, MODAL_CLASH):
+        drawn = 0
+        while drawn < 2:
+            f = And(clash, cleanse(gen.raw(1, 3)))
+            if len(free_vars(f)) == 2:
+                formulas.append(f)
+                drawn += 1
+    return formulas
+
+
+class RecordedBudget(Budget):
+    """The module's budget, remembering the last one made."""
+
+    last = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        RecordedBudget.last = self
+
+
+def counted(monkeypatch, name):
+    """Patch the module function called name to record its calls; return that record."""
+    real, calls = getattr(enumeration, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("max_worlds, max_domain, semantics", [
+    (2, 2, "increasing"), (3, 2, "constant"), (3, 3, "increasing"), (4, 2, "constant"),
+])
+def test_replay_is_exact(monkeypatch, max_worlds, max_domain, semantics):
+    monkeypatch.setattr(enumeration, "Budget", RecordedBudget)
+    monkeypatch.setitem(globals(), "Budget", RecordedBudget)  # the reference's budget
+    conclusive = replays = 0
+    for f in replay_formulas():
+        for budget in (3_000, 40_000, 400_000):
+            bounds = (f, max_worlds, max_domain, semantics, budget)
+            expected = outcome(reference_enumerate_sat, *bounds)
+            reference_spent = RecordedBudget.last.spent
+            with monkeypatch.context() as patch:
+                tried, grounded = counted(patch, "_try_frame"), counted(patch, "_ground")
+                got = outcome(enumerate_sat, *bounds)
+            assert got == expected, (f, budget)
+            if not str(got).startswith("budget: "):
+                assert RecordedBudget.last.spent == reference_spent, (f, budget)
+                conclusive += 1
+            replays += len(tried) - len(grounded)
+    assert conclusive >= 80 and replays >= 40
+
+
+# The view against curated 3-world frames.  A frame that agrees with a
+# refuted one on every world fewer than m steps from the root, m the depth
+# of the refuting conjuncts, is replayed for what grounding it would spend;
+# a frame that differs from it there is ground, and here has a model.  So
+# the view is neither wider nor shallower than what grounding reads.
+
+WORLDS, ELEMENTS = ["w0", "w1", "w2"], ["d0", "d1"]
+BOTH = frozenset({0, 1})
+
+
+def try_frame(text, succs, delta, refuted):
+    """_try_frame on one frame; the result and the budget it spent."""
+    psi = cleanse(to_nnf(parse(text)))
+    tracker = Budget(10 ** 6, BUDGET_OUT)
+    result = enumeration._try_frame(psi, WORLDS, ELEMENTS, succs, delta,
+                                    identity_assignment(free_vars(psi)), tracker, refuted)
+    return result, tracker.spent
+
+
+@pytest.mark.parametrize("text, refuted_frame, replayed_frame", [
+    # Depth 0: nothing of the frame is read.
+    ("(P(d0) & !P(d0))", (((1,), (), ()), (BOTH,) * 3), (((), (), ()), (BOTH,) * 3)),
+    # Depth 1: only the root's domain and row are read.
+    ("(E w <> P(w) & A w [] !P(w))", (((1,), (), ()), (BOTH,) * 3),
+     (((1,), (2,), (0,)), (BOTH, BOTH, frozenset({1})))),
+    # Depth 2: w2's row and domain are beyond the view.
+    ("(E x <> E y <> P(y) & A x [] A y [] !P(y))", (((1,), (2,), ()), (BOTH,) * 3),
+     (((1,), (2,), (2, 0)), (BOTH, BOTH, frozenset({0})))),
+])
+def test_a_frame_that_agrees_within_the_view_is_replayed(monkeypatch, text, refuted_frame,
+                                                         replayed_frame):
+    refuted = {}
+    assert try_frame(text, *refuted_frame, refuted)[0] is None
+    assert len(refuted) == 1
+    grounded = counted(monkeypatch, "_ground")
+    replay = try_frame(text, *replayed_frame, refuted)
+    assert grounded == []
+    assert replay == try_frame(text, *replayed_frame, {})
+    assert len(grounded) == 1
+
+
+@pytest.mark.parametrize("text, refuted_frame, model_frame", [
+    # Depth 1: the root's row differs.
+    ("E w <> P(w)", (((), (2,), ()), (BOTH,) * 3), (((1,), (2,), ()), (BOTH,) * 3)),
+    # Depth 1: the root's domain differs.
+    ("(E x [] P(x) & E y [] !P(y))", (((1,), (), ()), (frozenset({0}), BOTH, BOTH)),
+     (((1,), (), ()), (BOTH,) * 3)),
+    # Depth 2: w1's row differs, one step from the root.
+    ("E x <> E y <> P(y)", (((1,), (), ()), (BOTH,) * 3), (((1,), (2,), ()), (BOTH,) * 3)),
+])
+def test_a_frame_that_differs_within_the_view_is_ground(monkeypatch, text, refuted_frame,
+                                                        model_frame):
+    refuted = {}
+    assert try_frame(text, *refuted_frame, refuted)[0] is None
+    assert len(refuted) == 1
+    grounded = counted(monkeypatch, "_ground")
+    result, _ = try_frame(text, *model_frame, refuted)
+    assert len(grounded) == 1 and result is not None
