@@ -1,5 +1,5 @@
 """Bounded model search: frozen examples, self-consistency, determinism, frame log replay,
-the modal-depth prune, propagation while grounding."""
+the modal-depth prune, propagation while grounding, the replay of refuted views."""
 
 from itertools import permutations, product
 
@@ -208,6 +208,18 @@ def outcome(search, *args):
     return None if result is None else (result.root, result.model.dumps())
 
 
+def counted(monkeypatch, name):
+    """Patch the module function called name to record its calls; return that record."""
+    real, calls = getattr(enumeration, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, name, recording)
+    return calls
+
+
 # Each case is still out of budget after about 100 units (the last assertion),
 # so replay and enumeration are compared at that many budgets.
 REPLAY_CASES = [
@@ -315,14 +327,7 @@ def unpruned(monkeypatch, search, *args):
     (1, "full", "increasing"), (2, "eb", "constant"), (3, "ed", "increasing"),
 ])
 def test_pruned_first_model_equals_the_unpruned_one(monkeypatch, seed, fragment, semantics):
-    real_try_frame = enumeration._try_frame
-    tried = []
-
-    def counting(*args):
-        tried.append(args)
-        return real_try_frame(*args)
-
-    monkeypatch.setattr(enumeration, "_try_frame", counting)
+    tried = counted(monkeypatch, "_try_frame")
     gen = fuzz.FormulaGenerator(seed, fragment=fragment)
     drawn = [gen.formula() for _ in range(200)]
     formulas = [f for f in drawn if modal_depth(cleanse(to_nnf(f))) >= 1]
@@ -492,18 +497,6 @@ class RecordedBudget(Budget):
     def __init__(self, *args):
         super().__init__(*args)
         RecordedBudget.last = self
-
-
-def counted(monkeypatch, name):
-    """Patch the module function called name to record its calls; return that record."""
-    real, calls = getattr(enumeration, name), []
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(enumeration, name, recording)
-    return calls
 
 
 @pytest.mark.parametrize("max_worlds, max_domain, semantics", [
