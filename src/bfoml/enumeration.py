@@ -418,7 +418,9 @@ def enumerate_sat(formula: Formula, max_worlds: int, max_domain: int,
     The formula is normalized with cleanse(to_nnf(.)) and evaluated at world
     "w0" under the identity assignment on its free variables, whose names
     therefore become domain elements.  A max_worlds, max_domain or budget
-    below 1 raises BfomlError, and an unknown semantics ArgumentError.
+    below 1 raises BfomlError, and an unknown semantics ArgumentError.  A
+    formula with more free variables than max_domain returns None at once,
+    before any search, since each free variable names its own element.
     Search order: number of worlds, then domain size, then edge sets, then
     local-domain maps (increasing semantics only; constant semantics fixes
     them), then interpretations.  Edge sets with a world more than the

@@ -14,6 +14,25 @@ A label met again spends one budget unit, as any other label does.
 A search's ``memo``, dropped with it when the decision returns, computes
 each branching step once per (label's bundles in label order, tracked set),
 on which alone the step depends, and each bundle body instance once.
+
+A closed label keeps a clash set next to its outcome: formulas of the label
+that close on their own under the same tracked set.  Both procedures are
+sound and complete, so a label closes exactly when it has no model with its
+tracked set, and so does every label that holds a clash set under that set.
+A clash gives {F} or the literal pair that ``find_clash`` reports.  A closed
+"br" child gives the label's bundles: the step's children depend on them
+and the tracked set alone (its memo key), so the bundles have that closed
+child too.  Each formula of an "or" child on f = A | B in Γ is in Γ or a
+conjunct of its disjunct.  So a closed child whose clash set lies in Γ
+closes Γ, and the other child is never tried: a backjump.  If both children
+close with C1 and C2 and neither backjumps, {f} ∪ (C1 ∩ Γ) ∪ (C2 ∩ Γ)
+closes, as it holds C1 or C2 with either disjunct added.  A clash set is
+part of its label, not a set of choices on the path, so it holds wherever
+the memo hands the outcome on.  A backjump skips only a child of a label
+that closes, so every label's outcome and open completion, and with them
+the verdicts and models, are those of a search without backjumps; only
+``nodes_expanded``, ``max_recursion_depth`` and the trace of a closed
+subtree shrink.
 """
 
 from __future__ import annotations
@@ -110,20 +129,21 @@ def canonical_gamma(formulas) -> tuple[Formula, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
-def find_clash(gamma: tuple[Formula, ...]) -> str | None:
-    """F in the label, or a literal next to its negation, closes the branch."""
-    positive: set[tuple[str, tuple[Var, ...]]] = set()
-    negative: set[tuple[str, tuple[Var, ...]]] = set()
+def find_clash(gamma: tuple[Formula, ...]) -> tuple[Formula, ...] | None:
+    """F in the label, or a literal next to its negation, closes the branch;
+    returns (F,) or the least such (literal, negation) pair."""
+    positive: dict[tuple[str, tuple[Var, ...]], Formula] = {}
+    negative: dict[tuple[str, tuple[Var, ...]], Formula] = {}
     for f in gamma:
         if isinstance(f, Bot):
-            return "F"
+            return (f,)
         if isinstance(f, Atom):
-            positive.add((f.pred.name, f.args))
+            positive[f.pred.name, f.args] = f
         elif isinstance(f, Not) and isinstance(f.body, Atom):
-            negative.add((f.body.pred.name, f.body.args))
-    for name, args in sorted(positive & negative, key=lambda k: (k[0], [var_key(a) for a in k[1]])):
-        rendered = f"{name}({','.join(str(a) for a in args)})"
-        return f"{rendered} and !{rendered}"
+            negative[f.body.pred.name, f.body.args] = f
+    for k in sorted(positive.keys() & negative.keys(),
+                    key=lambda k: (k[0], [var_key(a) for a in k[1]])):
+        return positive[k], negative[k]
     return None
 
 
@@ -207,7 +227,8 @@ class Search:
     """Depth-first search for an open completion, one budget unit per label.
 
     Each rule application is checked against the termination measure.  "or"
-    tries its children until one is open, and "br" needs every child open.
+    tries its children until one is open or a closed one's clash set lies in
+    the premise (module docstring), and "br" needs every child open.
     Subclasses set ``letter``, the trace's name for the tracked set,
     implement ``expand`` as one ``apply_rule`` call, and may override
     ``local_domain``.
@@ -227,8 +248,8 @@ class Search:
         self.budget = Budget(budget, "tableau node budget exhausted")
         self.max_depth = 0
         self.trace: list[str] | None = [] if tracing else None
-        # label -> (world that solved it, its outcome)
-        self.solved: dict[Label, tuple[str, TableauNode | None]] = {}
+        # label -> (world that solved it, its outcome, its clash set if closed)
+        self.solved: dict[Label, tuple[str, TableauNode | None, frozenset | None]] = {}
         self.memo: dict = {}
 
     def expand(self, label: Label) -> RuleApplication | None:
@@ -258,40 +279,50 @@ class Search:
         seen = self.solved.get(label)
         if seen is not None:
             self.budget.spend()
-            first, node = seen
+            first, node, _ = seen
             outcome = "closed" if node is None else "open"
             self.emit(depth, world, label, f"reuses {first}, {outcome}")
             return node
-        node = self._solve_unseen(label, world, depth)
-        self.solved[label] = (world, node)
+        node, clash = self._solve_unseen(label, world, depth)
+        self.solved[label] = (world, node, clash)
         return node
 
-    def _solve_unseen(self, label: Label, world: str, depth: int) -> TableauNode | None:
+    def _solve_unseen(self, label: Label, world: str,
+                      depth: int) -> tuple[TableauNode | None, frozenset | None]:
+        """The label's outcome, and its clash set when the outcome is None."""
         self.budget.spend()
         clash = find_clash(label.gamma)
         if clash is not None:
-            self.emit(depth, world, label, f"closed: {clash}")
-            return None
+            self.emit(depth, world, label, "closed: " + " and ".join(map(str, clash)))
+            return None, frozenset(clash)
         app = self.expand(label)
         if app is None:
             self.emit(depth, world, label, "open leaf")
-            return TableauNode(label.gamma, self.local_domain(label.vars), ())
+            return TableauNode(label.gamma, self.local_domain(label.vars), ()), None
         for child in app.children:
             assert_measure_decreases(label, child)
         self.emit(depth, world, label, app.rule)
         if app.rule == "or":
+            gamma, core = None, set()
             for child in app.children:
                 node = self.solve(child, world, depth + 1)
                 if node is not None:
-                    return node
-            return None
+                    return node, None
+                gamma = gamma or frozenset(label.gamma)
+                closed = self.solved[child][2]
+                if closed <= gamma:  # the disjunct took no part: backjump
+                    return None, closed
+                core |= closed & gamma
+            # apply_rule branched on the leftmost or
+            core.add(next(f for f in label.gamma if isinstance(f, Or)))
+            return None, frozenset(core)
         kids = []
         for i, child in enumerate(app.children):
             node = self.solve(child, f"{world}.{i}", depth + 1)
             if node is None:
-                return None
+                return None, frozenset(f for f in label.gamma if isinstance(f, Bundle))
             kids.append(node)
-        return TableauNode(label.gamma, self.local_domain(app.vars), tuple(kids))
+        return TableauNode(label.gamma, self.local_domain(app.vars), tuple(kids)), None
 
     def result(self, theta: Formula, completion: TableauNode | None = None,
                model: KripkeModel | None = None,
