@@ -46,7 +46,7 @@ def test_a_clash_set_outside_the_premise_does_not_backjump(text, procedures):
 
 
 @pytest.mark.parametrize("decide", BOTH)
-def test_a_closed_label_met_again_backjumps_as_where_it_was_solved(decide):
+def test_a_closed_label_met_again_keeps_its_clash_set(decide):
     result = decide(parse(SAT_CASES[-1][0]), tracing=True)
     assert result.is_sat
     assert "r [reuses r, closed] Γ={!P(x), !Q(x), (P(x) | Q(x)), A(x)}" in "\n".join(result.trace)
