@@ -4,11 +4,19 @@ Restricted to the exists-box fragment (only ``E x []`` and ``A x <>``
 bundles after NNF).  This module is the constant-domain policy over the
 engine in ``tableau_common``.  Constant domains rule out inventing witnesses
 on the fly, so the whole domain is fixed up front: the formula's free
-variables, a pool of modal-depth-many fresh variables for each exists-box
-binder, and one extra fresh variable.  Along every branch a label tracks the
-used-variable set (trace letter ``C``); an exists-box formula always takes
-the lowest-index unused member of its own pool, and the branching rule fans
-out over every domain variable for each universal-diamond formula.
+variables, a pool of fresh variables for each exists-box binder (sized in
+``build_domain``), and one extra fresh variable.  Along every branch a label
+tracks the used-variable set (trace letter ``C``); an exists-box formula
+always takes the lowest-index unused member of its own pool, and the
+branching rule fans out over every domain variable for each
+universal-diamond formula.
+
+Verdicts depend only on the pools never running out (Fitting & Mendelsohn,
+*First-Order Modal Logic*, 1998).  Over any domain, a closed tableau whose
+witnesses are unused is a refutation ("or" keeps a true disjunct, "br" maps
+the witness to the element its ``E []`` names and each diamond instance to
+any element, and clash sets are unsatisfiable alike), and an open
+completion's read-off is a model, which ``check`` verifies.
 
 Every world records the whole fixed domain, so the model read off an open
 completion has constant domains.  The model checker re-checks it before SAT.
@@ -20,9 +28,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import FragmentError, InternalSolverError
-from .formulas import (FRAGMENT_BUNDLES, Bundle, Formula, Fragment, Mod, Quant, Var,
-                       all_vars, classify, cleanse, exists_box_vars, formula_key, free_vars,
-                       fresh_like, is_clean, is_nnf, modal_depth, substitute, to_nnf, var_key)
+from .formulas import (FRAGMENT_BUNDLES, And, Bundle, Formula, Fragment, Mod, Or, Quant, Var,
+                       all_vars, classify, cleanse, formula_key, free_vars, fresh_like,
+                       is_clean, is_nnf, substitute, to_nnf, var_key)
 from .kripke import KripkeModel, check, identity_assignment
 from .tableau_common import (DecisionResult, Label, RuleApplication, Search,
                              TableauNode, apply_rule, assert_free_vars_tracked,
@@ -42,10 +50,16 @@ class ConstantDomainPlan:
 def build_domain(theta: Formula) -> ConstantDomainPlan:
     """Precompute the fixed domain for a clean NNF exists-box formula.
 
-    Each exists-box binder x gets modal-depth-many fresh indexed variants of
-    its own name; pools are pairwise disjoint and avoid every variable of the
-    formula.  The domain is the free variables, all pool members, and one
-    fresh extra variable, so it is never empty.
+    Let k_x be the number of bundles above binder x.  A label at world depth
+    k holds only instances of subformulas at nesting k, since "br" peels one
+    bundle level and "or" and the and-split keep it.  So ``E x []`` fires
+    only at depth k_x, and only next to an ``A <>`` at nesting k_x; each of
+    the k_x "br" steps on its path adds one diamond instance to the used
+    set.  Such an x gets k_x + 1 fresh indexed variants of its own name, so
+    one is always unused; any other x gets an empty pool.  Pools are pairwise
+    disjoint and avoid every variable of the formula.  The domain is the free
+    variables, all pool members, and one fresh extra variable, so it is never
+    empty.
     """
     fragment = classify(theta)
     if fragment is not Fragment.EXISTS_BOX:
@@ -53,11 +67,24 @@ def build_domain(theta: Formula) -> ConstantDomainPlan:
             f"constant-domain procedure needs the exists-box fragment, got {fragment.value}")
     if not (is_nnf(theta) and is_clean(theta)):
         raise InternalSolverError("build_domain expects a clean NNF input")
+    nesting: dict[Var, int] = {}  # exists-box binder -> bundles above it
+    diamonds: set[int] = set()  # the nestings of the A <> bundles
+    stack = [(theta, 0)]
+    while stack:
+        g, k = stack.pop()
+        if isinstance(g, Bundle):
+            if g.quant is Quant.EXISTS:
+                nesting[g.var] = k
+            else:
+                diamonds.add(k)
+            stack.append((g.body, k + 1))
+        elif isinstance(g, (And, Or)):
+            stack += [(g.left, k), (g.right, k)]
     used = set(all_vars(theta))
     pools: dict[Var, tuple[Var, ...]] = {}
-    for x in sorted(exists_box_vars(theta), key=var_key):
+    for x in sorted(nesting, key=var_key):
         pool = []
-        for _ in range(modal_depth(theta)):
+        for _ in range(nesting[x] + 1 if nesting[x] in diamonds else 0):
             pool.append(fresh_like(x, used))
             used.add(pool[-1])
         pools[x] = tuple(pool)
@@ -87,7 +114,7 @@ def branch(label: Label, bundles, memo: dict, plan: ConstantDomainPlan) -> RuleA
         available = [v for v in plan.pools[b.var] if v not in label.vars]
         if not available:
             raise InternalSolverError(
-                f"witness pool for {b.var} exhausted; depth bound violated")
+                f"witness pool for {b.var} exhausted; pool size bound violated")
         witnesses[b.var] = available[0]
     box_bodies = [instantiate(memo, substitute, b, witnesses[b.var]) for b in exists_box]
     new_used = label.vars | set(witnesses.values())
