@@ -217,9 +217,12 @@ def test_label_refuses_a_conjunction():
         Label((parse("(P(x) & Q(x))"),), frozenset({Var("x")}))
 
 
-# bench/workloads.chain_ad(random.Random(1), 3): thousands of labels.
+# bench/workloads.chain_ad(random.Random(1), n) for n = 3 and 4; constant n=4
+# builds thousands of labels.
 CHAIN_AD_3 = ("A xmj <> (A vca <> (E lpc [] Pgm(vca,lpc) & A xlt <> (Qou(xmj) & "
               "E maa [] Pgm(xlt,maa))) & E ksg [] Pgm(xmj,ksg))")
+CHAIN_AD_4 = ("A xmj <> (A vca <> (E maa [] Pgm(vca,maa) & A xlt <> (E kyj [] Pgm(xlt,kyj) & "
+              "A usg <> (Qou(xmj) & E lzs [] Pgm(usg,lzs)))) & E lpc [] Pgm(xmj,lpc))")
 
 
 def test_each_label_is_measured_once(monkeypatch):
@@ -228,7 +231,7 @@ def test_each_label_is_measured_once(monkeypatch):
     monkeypatch.setattr(Label, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     monkeypatch.setattr(tableau_common, "label_measure",
                         lambda gamma: measured.append(1) or measure(gamma))
-    assert decide_constant_eb(parse(CHAIN_AD_3)).is_sat
+    assert decide_constant_eb(parse(CHAIN_AD_4)).is_sat
     assert len(built) > 1000
     assert len(measured) == len(built)
 
@@ -264,8 +267,8 @@ def record_memo_calls(monkeypatch, module):
 
 def test_search_substitutes_and_branches_once_per_key(monkeypatch):
     subs, branches = record_memo_calls(monkeypatch, tableau_constant)
-    result = decide_constant_eb(parse(CHAIN_AD_3))
-    assert result.is_sat and result.nodes_expanded == 2380
+    result = decide_constant_eb(parse(CHAIN_AD_4))
+    assert result.is_sat and result.nodes_expanded == 11_111
     assert len(subs) == len(set(subs)) > 100
     assert len(branches) == len(set(branches)) > 100
 
